@@ -15,6 +15,7 @@ from .exactlinalg import (
     IntVec,
     Rational,
     clear_denominators,
+    combine_rows,
     content,
     gram_restrict,
     inertia,
@@ -111,41 +112,38 @@ def enumerate_vectors_of_norm(
     return vectors_of_norms(flipped, [-target])[-target]
 
 
-def _complement_wall_reports(
-    lattice: BBFLattice,
-    complement: list[IntVec],
+def walls_in_sublattice(
+    gram: Sequence[Sequence[int]],
+    basis: Sequence[Sequence[int]],
     norms: NormTargetSet,
-    primitive_only: bool = True,
 ) -> list[WallReport]:
-    """Enumerate vectors of the complement sublattice hitting the target
-    norms, mapped back to ambient coordinates as normalized wall reports."""
-    if not complement:
+    """The primitive classes z of the sublattice spanned by the rows of
+    basis with q(z, z) in the target set, one per +- pair, as
+    sign-normalized wall reports sorted by class (coordinates of gram).
+
+    basis must be saturated (the integer points of its rational span), so
+    z = c . basis is primitive exactly when its coefficient vector c is.
+    The form must be negative definite on it: the leading-minor test that
+    Fincke-Pohst runs anyway decides that, and SignatureError is raised
+    otherwise.
+    """
+    if not basis:
         return []
-    sub_gram = gram_restrict(complement, lattice.gram)
-    cls = definiteness(sub_gram)
-    if cls is not Definiteness.NEGATIVE_DEFINITE:
+    sub_gram = gram_restrict(basis, gram)
+    try:
+        table = vectors_of_norms([[-x for x in row] for row in sub_gram], [-m for m in norms])
+    except ValueError:
         raise SignatureError(
-            "orthogonal complement is %s (inertia %s); wall enumeration "
-            "requires a negative-definite complement" % (cls.value, inertia(sub_gram))
-        )
-    flipped = [[-int(x) for x in row] for row in sub_gram]
-    table = vectors_of_norms(flipped, [-m for m in norms.norms])
-    seen: set[IntVec] = set()
-    reports: list[WallReport] = []
-    n = lattice.rank
-    for neg_norm, hits in table.items():
-        for coeffs in hits:
-            vec = tuple(
-                sum(coeffs[i] * complement[i][j] for i in range(len(complement)))
-                for j in range(n)
-            )
-            if primitive_only and content(vec) != 1:
-                continue
-            vec = sign_normalize(vec)
-            if vec in seen:
-                continue
-            seen.add(vec)
-            reports.append(WallReport(wall_class=vec, norm=-neg_norm))
+            "sublattice has inertia %s; wall enumeration requires a "
+            "negative-definite sublattice" % (inertia(sub_gram),)
+        ) from None
+    reports = [
+        WallReport(wall_class=sign_normalize(combine_rows(coeffs, basis)), norm=-neg_norm)
+        for neg_norm, hits in table.items()
+        for coeffs in hits
+        # coeffs and -coeffs give the same wall: keep the sign-normalized one
+        if coeffs == sign_normalize(coeffs) and content(coeffs) == 1
+    ]
     reports.sort(key=lambda r: r.wall_class)
     return reports
 
@@ -178,7 +176,7 @@ def mbm_candidates_in_complement(
             "(%d, %d) is not negative definite" % (len(basis), p, nneg)
         )
     complement = lattice.orthogonal_complement_integral(basis)
-    return _complement_wall_reports(lattice, complement, norms)
+    return walls_in_sublattice(lattice.gram, complement, norms)
 
 
 def _require_hyperbolic(lattice: BBFLattice) -> None:
@@ -205,7 +203,7 @@ def wall_classes_through(
     if qh <= 0:
         raise InvariantViolation("q(h,h) must be positive, got %s" % (qh,))
     complement = lattice.orthogonal_complement_integral([h])
-    return _complement_wall_reports(lattice, complement, norms)
+    return walls_in_sublattice(lattice.gram, complement, norms)
 
 
 def chamber_membership(

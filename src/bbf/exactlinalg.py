@@ -7,7 +7,8 @@ here mutates its arguments unless explicitly stated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
@@ -28,8 +29,15 @@ def vec_rat(v: Iterable[Rational]) -> RatVec:
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
-    assert len(u) == len(v), "dimension mismatch in dot product"
-    return sum(a * b for a, b in zip(u, v))
+    """Exact dot product; ValueError on a length mismatch."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch in dot product: %d != %d" % (len(u), len(v)))
+    return sum(map(mul, u, v))
+
+
+def combine_rows(coeffs: Sequence[Rational], rows: Sequence[Sequence[Rational]]) -> tuple[Rational, ...]:
+    """The row combination sum_i coeffs[i] * rows[i] (rows non-empty)."""
+    return tuple([sum(map(mul, coeffs, col)) for col in zip(*rows)])
 
 
 def mat_vec(m: Sequence[Sequence[Rational]], v: Sequence[Rational]) -> list[Rational]:
@@ -79,13 +87,16 @@ def sign_normalize(v: Sequence[int]) -> IntVec:
     return vec_int(v)
 
 
+def _integral_multiple(v: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(den, den * v) with den the lcm of the denominators of v."""
+    fracs = [Fraction(x) for x in v]
+    den = lcm(*(f.denominator for f in fracs))
+    return den, [int(f * den) for f in fracs]
+
+
 def clear_denominators(v: Sequence[Rational]) -> IntVec:
     """Scale a rational vector by a positive integer to a primitive integer vector."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-    w = [int(Fraction(x) * den) for x in v]
-    return primitive_part(w)
+    return primitive_part(_integral_multiple(v)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -124,121 +135,74 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
 
 def det_rational(m: Sequence[Sequence[Rational]]) -> Fraction:
     """Determinant of a rational matrix, via row scaling + Bareiss."""
-    n = len(m)
     scale = Fraction(1)
     rows = []
     for row in m:
-        den = 1
-        for x in row:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
+        den, cleared = _integral_multiple(row)
         scale /= den
-        rows.append([int(Fraction(x) * den) for x in row])
-    return scale * det_bareiss(rows) if n else Fraction(1)
+        rows.append(cleared)
+    return scale * det_bareiss(rows)
 
 
 def inertia(m: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
     """Counts (positive, negative, zero) of eigenvalue signs of a symmetric
-    matrix, by exact congruence diagonalization (Lagrange reduction).
+    matrix: the signs of its exact congruence diagonalization.
 
     Never touches floating point, so it is safe arbitrarily close to
     degeneracy.
     """
-    assert is_symmetric(m), "inertia needs a symmetric matrix"
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    live = list(range(n))
-    pos = neg = zero = 0
-    while live:
-        pivot_idx = next((i for i in live if a[i][i] != 0), None)
-        if pivot_idx is None:
-            # all diagonal entries vanish; hunt for an off-diagonal entry
-            hyp = None
-            for ii, i in enumerate(live):
-                for j in live[ii + 1:]:
-                    if a[i][j] != 0:
-                        hyp = (i, j)
-                        break
-                if hyp:
-                    break
-            if hyp is None:
-                zero += len(live)
-                break
-            i, j = hyp
-            # congruence e_i -> e_i + e_j turns the 2x2 hyperbolic block
-            # into one with a nonzero diagonal entry
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            pivot_idx = i
-        p = pivot_idx
-        d = a[p][p]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        live.remove(p)
-        for i in live:
-            if a[i][p] == 0:
-                continue
-            f = a[i][p] / d
-            for j in live:
-                a[i][j] -= f * a[p][j]
-            a[i][p] = 0
-        for j in live:
-            a[p][j] = 0
-    return pos, neg, zero
+    _, diag = diagonalize_symmetric(m)
+    pos = sum(1 for d in diag if d > 0)
+    neg = sum(1 for d in diag if d < 0)
+    return pos, neg, len(diag) - pos - neg
 
 
 def diagonalize_symmetric(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Congruence diagonalization of a symmetric matrix: returns (T, diag)
-    with T . m . T^T equal to the diagonal matrix with entries diag.
+    """Congruence diagonalization of a symmetric matrix (Lagrange
+    reduction): returns (T, diag) with T . m . T^T equal to the diagonal
+    matrix with entries diag.
 
     Rows of T express the diagonalizing basis in the original coordinates.
     """
-    assert is_symmetric(m), "diagonalization needs a symmetric matrix"
+    if not is_symmetric(m):
+        raise ValueError("diagonalization needs a symmetric matrix")
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     live = list(range(n))
     order: list[int] = []
     while live:
-        pivot_idx = next((i for i in live if a[i][i] != 0), None)
-        if pivot_idx is None:
-            hyp = None
-            for ii, i in enumerate(live):
-                for j in live[ii + 1:]:
-                    if a[i][j] != 0:
-                        hyp = (i, j)
-                        break
-                if hyp:
-                    break
+        p = next((i for i in live if a[i][i] != 0), None)
+        if p is None:
+            # all diagonal entries vanish; hunt for an off-diagonal entry
+            hyp = next(
+                ((i, j) for k, i in enumerate(live) for j in live[k + 1:] if a[i][j] != 0),
+                None,
+            )
             if hyp is None:
                 order.extend(live)
                 break
-            i, j = hyp
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            t[i] = [x + y for x, y in zip(t[i], t[j])]
-            pivot_idx = i
-        p = pivot_idx
-        d = a[p][p]
+            p, j = hyp
+            # congruence e_p -> e_p + e_j turns the 2x2 hyperbolic block
+            # into one with a nonzero diagonal entry
+            for k in live:
+                a[p][k] += a[j][k]
+            for k in live:
+                a[k][p] += a[k][j]
+            t[p] = [x + y for x, y in zip(t[p], t[j])]
         live.remove(p)
         order.append(p)
+        # e_i -> e_i - f e_p clears row and column p; the live block becomes
+        # its Schur complement, which stays symmetric
+        d, row_p, t_p = a[p][p], a[p], t[p]
         for i in live:
-            if a[i][p] == 0:
-                continue
             f = a[i][p] / d
-            for j in range(n):
-                a[i][j] -= f * a[p][j]
-            for j in range(n):
-                a[j][i] -= f * a[j][p]
-            t[i] = [x - f * y for x, y in zip(t[i], t[p])]
-    perm_t = [t[p] for p in order]
-    diag = [a[p][p] for p in order]
-    return perm_t, diag
+            if f:
+                row_i = a[i]
+                for j in live:
+                    row_i[j] -= f * row_p[j]
+                t[i] = [x - f * y if y else x for x, y in zip(t[i], t_p)]
+    return [t[p] for p in order], [a[p][p] for p in order]
 
 
 def rref(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -380,7 +344,8 @@ def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: 
     canonical=True the basis is returned in row Hermite normal form.
     """
     if ncols is None:
-        assert m, "kernel_int needs at least one row or an explicit ncols"
+        if not m:
+            raise ValueError("kernel_int needs at least one row or an explicit ncols")
         ncols = len(m[0])
     if not m:
         return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
@@ -421,13 +386,7 @@ def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: 
 
 def kernel_rational_constraints(constraints: Sequence[Sequence[Rational]], ncols: int) -> list[IntVec]:
     """Saturated integer kernel of rational linear conditions."""
-    cleared = []
-    for row in constraints:
-        den = 1
-        for x in row:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        cleared.append([int(Fraction(x) * den) for x in row])
-    return kernel_int(cleared, ncols)
+    return kernel_int([_integral_multiple(row)[1] for row in constraints], ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +422,7 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
     Fractions.
     """
     n = len(gram)
-    g = [[int(x) for x in row] for row in gram]
+    g = [[index(x) for x in row] for row in gram]  # TypeError on a non-integer entry
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n <= 1:
         if n == 1 and g[0][0] <= 0:
@@ -506,57 +465,22 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
 
 
 # ---------------------------------------------------------------------------
-# short vector enumeration (Fincke-Pohst with exact rational LDL)
+# short vector enumeration (Fincke-Pohst on the integral LLL data)
 # ---------------------------------------------------------------------------
 
-def ldl(gram: Sequence[Sequence[Rational]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact LDL data for a positive-definite symmetric matrix:
-    q(x) = sum_i d[i] * (x[i] + sum_{j>i} mu[i][j] x[j])^2."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            aij = a[i][j]
-            for k in range(j, n):
-                a[j][k] -= mu[i][k] * aij
-    return d, mu
-
-
-def short_vectors(
-    gram: Sequence[Sequence[Rational]],
-    bound: Rational,
-    reduce: bool = True,
-) -> list[tuple[IntVec, Rational]]:
+def short_vectors(gram: Sequence[Sequence[int]], bound: Rational) -> list[tuple[IntVec, int]]:
     """All integer vectors z (including both signs) with
-    0 < z . gram . z^T <= bound, for positive-definite gram.
+    0 < z . gram . z^T <= bound, for a positive-definite integer gram.
 
-    Output is sorted lexicographically.  LLL preprocessing is optional and
-    only affects speed, never the result set.
+    Output is sorted lexicographically.  The gram is always LLL-reduced
+    first, which only affects speed, never the result set.  Raises
+    ValueError when gram is not positive definite (the exact leading-minor
+    test of integral_gso).
     """
-    n = len(gram)
-    if n == 0 or Fraction(bound) <= 0:
+    if not gram:
         return []
-    integral = all(isinstance(x, int) for row in gram for x in row)
-    if integral:
-        int_bound = int(Fraction(bound))  # integer vectors on an integer gram have integer norms
-        if reduce:
-            u, reduced = lll_gram(gram)  # type: ignore[arg-type]
-            found = _enumerate_int(reduced, int_bound)
-            out: list[tuple[IntVec, Rational]] = []
-            for zred, norm in found:
-                z = tuple(sum(zred[i] * u[i][j] for i in range(n)) for j in range(n))
-                out.append((vec_int(z), norm))
-        else:
-            out = list(_enumerate_int([list(map(int, r)) for r in gram], int_bound))
-    else:
-        out = _enumerate_ldl(gram, Fraction(bound))
+    u, reduced = lll_gram(gram)
+    out = [(combine_rows(z, u), norm) for z, norm in _enumerate_int(reduced, int(bound))]
     out.sort(key=lambda pair: pair[0])
     return out
 
@@ -601,57 +525,14 @@ def _enumerate_int(gram: list[list[int]], bound: int) -> list[tuple[IntVec, int]
     return results
 
 
-def _enumerate_ldl(gram: Sequence[Sequence[Rational]], bound: Fraction) -> list[tuple[IntVec, Rational]]:
-    n = len(gram)
-    d, mu = ldl(gram)
-    results: list[tuple[IntVec, Rational]] = []
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction) -> None:
-        # offset of the affine center at this level
-        c = sum(mu[i][j] * x[j] for j in range(i + 1, n)) if i < n - 1 else Fraction(0)
-        di = d[i]
-        base = -c
-        x0 = base.numerator // base.denominator  # floor
-        xi = x0
-        while di * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            used = di * (xi + c) ** 2
-            if i == 0:
-                norm = bound - (remaining - used)
-                if norm > 0:
-                    results.append((vec_int(x), norm if norm.denominator > 1 else int(norm)))
-            else:
-                descend(i - 1, remaining - used)
-            xi -= 1
-        xi = x0 + 1
-        while di * (xi + c) ** 2 <= remaining:
-            x[i] = xi
-            used = di * (xi + c) ** 2
-            if i == 0:
-                norm = bound - (remaining - used)
-                if norm > 0:
-                    results.append((vec_int(x), norm if norm.denominator > 1 else int(norm)))
-            else:
-                descend(i - 1, remaining - used)
-            xi += 1
-        x[i] = 0
-
-    descend(n - 1, bound)
-    return results
-
-
-def vectors_of_norms(
-    gram: Sequence[Sequence[int]],
-    norms: Iterable[int],
-    reduce: bool = True,
-) -> dict[int, list[IntVec]]:
+def vectors_of_norms(gram: Sequence[Sequence[int]], norms: Iterable[int]) -> dict[int, list[IntVec]]:
     """Integer vectors of a positive-definite integer gram hitting each of
     the given exact positive norms."""
     targets = sorted(set(int(t) for t in norms))
-    assert targets and targets[0] > 0, "norm targets must be positive here"
+    if not targets or targets[0] <= 0:
+        raise ValueError("norm targets must be positive, got %s" % (targets,))
     table: dict[int, list[IntVec]] = {t: [] for t in targets}
-    for z, norm in short_vectors(gram, targets[-1], reduce=reduce):
-        if isinstance(norm, int) and norm in table:
+    for z, norm in short_vectors(gram, targets[-1]):
+        if norm in table:
             table[norm].append(z)
     return table

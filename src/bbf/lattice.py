@@ -131,10 +131,15 @@ class BBFLattice:
         return self.inner(v, v)
 
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia counts, computed exactly."""
-        p, n, z = inertia(self.gram)
-        assert z == 0  # nondegeneracy was enforced at construction
-        return p, n
+        """(positive, negative) inertia counts, computed exactly once per
+        lattice (the Gram is immutable)."""
+        sig = self.__dict__.get("_signature")
+        if sig is None:
+            p, n, z = inertia(self.gram)
+            assert z == 0  # nondegeneracy was enforced at construction
+            sig = (p, n)
+            object.__setattr__(self, "_signature", sig)
+        return sig
 
     def restricted_gram(self, basis: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
         for row in basis:
@@ -229,11 +234,6 @@ class RationalSubspace:
     def restricted_gram(self) -> list[list[Rational]]:
         return self.lattice.restricted_gram(self.basis)
 
-    def same_subspace(self, other: "RationalSubspace") -> bool:
-        if self.lattice.gram != other.lattice.gram or self.dim != other.dim:
-            return False
-        return row_space_equal(self.basis, other.basis)
-
 
 @dataclass(frozen=True)
 class OrientedPositiveSubspace:
@@ -266,9 +266,6 @@ class OrientedPositiveSubspace:
 
     def restricted_gram(self) -> list[list[Rational]]:
         return self.lattice.restricted_gram(self.basis)
-
-    def as_subspace(self) -> RationalSubspace:
-        return RationalSubspace(self.lattice, self.basis)
 
     def reversed(self) -> "OrientedPositiveSubspace":
         """Same subspace with the opposite orientation (swap first two rows)."""

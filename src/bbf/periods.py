@@ -13,13 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .enumeration import NormTargetSet, WallReport, mbm_candidates_in_complement
+from .enumeration import (
+    NormTargetSet,
+    WallReport,
+    mbm_candidates_in_complement,
+    walls_in_sublattice,
+)
 from .exactlinalg import (
     IntVec,
     RatVec,
     Rational,
     clear_denominators,
-    content,
+    combine_rows,
     diagonalize_symmetric,
     dot,
     gram_restrict,
@@ -30,7 +35,6 @@ from .exactlinalg import (
     sign_normalize,
     solve_in_row_space,
     vec_rat,
-    vectors_of_norms,
 )
 from .lattice import (
     BBFLattice,
@@ -189,20 +193,12 @@ def twistor_member(triple: HKTripleClasses, direction: TwistorDirection) -> Twis
     their complementary planes: direction (1,0,0) gives (x, span(y, z)).
     """
     d = direction.coords()
-    lat = triple.lattice
     frame = (triple.x, triple.y, triple.z)
-
-    def combine(coeffs: Sequence[Rational]) -> RatVec:
-        return vec_rat(
-            [
-                sum(Fraction(c) * Fraction(col) for c, col in zip(coeffs, cols))
-                for cols in zip(*frame)
-            ]
-        )
-
-    omega = combine(d)
+    omega = vec_rat(combine_rows(d, frame))
     p1, p2 = _cyclic_orthogonal_frame(d)
-    plane = OrientedPositiveSubspace(lat, (combine(p1), combine(p2)))
+    plane = OrientedPositiveSubspace(
+        triple.lattice, (combine_rows(p1, frame), combine_rows(p2, frame))
+    )
     return TwistorFiber(omega=omega, plane=plane)
 
 
@@ -261,9 +257,15 @@ class ConnectivityReport:
 
 class _FiberFrame:
     """Precomputed exact frame for all fiber work over one positive x:
-    an LLL-improved integral basis of the complement of x, the restricted
-    Gram, and a deterministic pair of orthogonal positive seed vectors used
-    to aim random plane draws into the (thin) positive cone."""
+    an LLL-improved integral basis of the complement of x (saturated, since
+    it is a unimodular transform of kernel_int's), the Gram in those frame
+    coordinates, and a deterministic pair of orthogonal positive seed
+    vectors used to aim random plane draws into the (thin) positive cone.
+
+    Planes are tested in frame coordinates: plane_complement gives the
+    saturated complement of a plane, and walls_in_sublattice on gram_n
+    finds its wall classes, which to_ambient maps back.
+    """
 
     def __init__(self, lattice: BBFLattice, x: Sequence[Rational], norms: NormTargetSet):
         p, nneg = lattice.signature()
@@ -277,32 +279,22 @@ class _FiberFrame:
             raise InvariantViolation("base class must be positive, q(x,x) = %s" % (qx,))
         self.lattice = lattice
         self.x = x
-        n = lattice.rank
+        self.norms = norms
         x_int = clear_denominators(x)
         constraint = [int(c) for c in mat_vec(lattice.gram, x_int)]
         basis = kernel_int([constraint], canonical=False)
         # improve coordinates: Euclidean LLL keeps later Gram entries small
         euclid = [[dot(r1, r2) for r2 in basis] for r1 in basis]
         u, _ = lll_gram(euclid)
-        m = len(basis)
-        self.basis = [
-            [sum(u[i][k] * basis[k][j] for k in range(m)) for j in range(n)]
-            for i in range(m)
-        ]
-        self.gram_n = [
-            [int(v) for v in row] for row in gram_restrict(self.basis, lattice.gram)
-        ]
-        self.dim = m
-        self.targets = [-t for t in norms.norms]
+        self.basis = [combine_rows(row, basis) for row in u]
+        self.gram_n = gram_restrict(self.basis, lattice.gram)
+        self.dim = len(basis)
         self.seeds = self._seed_pair()
 
     # -- coordinates ---------------------------------------------------------
 
     def to_ambient(self, coeffs: Sequence[int]) -> IntVec:
-        n = self.lattice.rank
-        return tuple(
-            sum(coeffs[i] * self.basis[i][j] for i in range(self.dim)) for j in range(n)
-        )
+        return combine_rows(coeffs, self.basis)
 
     def to_frame(self, vec: Sequence[Rational]) -> list[int]:
         sol = solve_in_row_space(self.basis, vec)
@@ -329,10 +321,7 @@ class _FiberFrame:
         gram_v = gram_restrict(span, lat.gram)
         x_coeffs = solve_in_row_space(span, self.x)
         assert x_coeffs is not None
-        constraint = [
-            sum(Fraction(gram_v[i][j]) * x_coeffs[i] for i in range(len(span)))
-            for j in range(len(span))
-        ]
+        constraint = combine_rows(x_coeffs, gram_v)
         kern: list[list[Fraction]] = []
         pivot = next((j for j, c in enumerate(constraint) if c != 0), None)
         assert pivot is not None
@@ -343,19 +332,13 @@ class _FiberFrame:
             vec[j] = Fraction(1)
             vec[pivot] = -constraint[j] / constraint[pivot]
             kern.append(vec)
-        w_rows = [
-            [sum(k[i] * Fraction(span[i][j]) for i in range(len(span))) for j in range(lat.rank)]
-            for k in kern
-        ]
+        w_rows = [combine_rows(k, span) for k in kern]
         gw = gram_restrict(w_rows, lat.gram)
         tw, dw = diagonalize_symmetric(gw)
         seeds = []
         for trow, dv in zip(tw, dw):
             if dv > 0:
-                amb = [
-                    sum(trow[i] * Fraction(w_rows[i][j]) for i in range(len(w_rows)))
-                    for j in range(lat.rank)
-                ]
+                amb = combine_rows(trow, w_rows)
                 seeds.append(self.to_frame(clear_denominators(amb)))
         assert len(seeds) >= 2, "complement of a positive class must contain a positive plane"
         return seeds[0], seeds[1]
@@ -372,27 +355,12 @@ class _FiberFrame:
         qvv = dot(v, mat_vec(self.gram_n, v))
         return quu * qvv - quv * quv > 0
 
-    def wall_witnesses(self, u: Sequence[int], v: Sequence[int]) -> list[IntVec]:
-        """Ambient wall classes orthogonal to x, u and v with norm in the
-        target set; empty exactly when the plane's 3-space passes the
-        period-image test.  Assumes plane_shape holds."""
-        au = mat_vec(self.gram_n, u)
-        av = mat_vec(self.gram_n, v)
-        kern = kernel_int([au, av], canonical=False)
-        sub = gram_restrict(kern, self.gram_n)
-        flipped = [[-int(e) for e in row] for row in sub]
-        table = vectors_of_norms(flipped, self.targets)
-        out = set()
-        for hits in table.values():
-            for coeffs in hits:
-                zn = [
-                    sum(coeffs[i] * kern[i][j] for i in range(len(kern)))
-                    for j in range(self.dim)
-                ]
-                amb = self.to_ambient(zn)
-                if content(amb) == 1:
-                    out.add(sign_normalize(amb))
-        return sorted(out)
+    def plane_complement(self, u: Sequence[int], v: Sequence[int]) -> list[IntVec]:
+        """Saturated basis, in frame coordinates, of the classes orthogonal
+        to x, u and v.  When plane_shape holds it is negative definite, and
+        walls_in_sublattice on it is empty exactly when the plane's 3-space
+        passes the period-image test."""
+        return kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)], canonical=False)
 
 
 def _sample_plane(frame: _FiberFrame, rng: random.Random, max_tries: int = 400):
@@ -427,22 +395,23 @@ def sample_fiber(
     out = []
     for _ in range(count):
         u, v = _sample_plane(frame, rng)
-        witnesses = frame.wall_witnesses(u, v)
         plane = OrientedPositiveSubspace(
             lattice, (frame.to_ambient(u), frame.to_ambient(v))
         )
         point = FiberPoint(frame.x, plane)
-        reports = tuple(
-            WallReport(wall_class=w, norm=int(lattice.q(w))) for w in witnesses
-        )
-        out.append(FiberSample(point=point, accepted=not witnesses, witnesses=reports))
+        walls = walls_in_sublattice(frame.gram_n, frame.plane_complement(u, v), frame.norms)
+        reports = tuple(sorted(
+            (WallReport(sign_normalize(frame.to_ambient(w.wall_class)), w.norm) for w in walls),
+            key=lambda r: r.wall_class,
+        ))
+        out.append(FiberSample(point=point, accepted=not reports, witnesses=reports))
     return out
 
 
 def _sample_accepted(frame: _FiberFrame, rng: random.Random, max_tries: int = 2000):
     for _ in range(max_tries):
         u, v = _sample_plane(frame, rng)
-        if not frame.wall_witnesses(u, v):
+        if not walls_in_sublattice(frame.gram_n, frame.plane_complement(u, v), frame.norms):
             return u, v
     raise InvariantViolation("could not sample an accepted fiber point")
 
@@ -504,7 +473,7 @@ def fiber_connectivity_experiment(
                     geo_rejects += 1
                     good = False
                     break
-                if frame.wall_witnesses(uk, vk):
+                if walls_in_sublattice(frame.gram_n, frame.plane_complement(uk, vk), norms):
                     wall_hits += 1
                     good = False
                     break

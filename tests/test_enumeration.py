@@ -15,6 +15,7 @@ from bbf.enumeration import (
     same_kahler_chamber,
     separating_walls,
     wall_classes_through,
+    walls_in_sublattice,
 )
 from bbf.exactlinalg import content, det_bareiss, sign_normalize
 from bbf.lattice import InvariantViolation, SignatureError, diagonal_matrix
@@ -163,6 +164,37 @@ class TestMbmInComplement:
             ((0, 0, 1, -1, 0, 0), -2),
             ((0, 0, 0, 0, 1, -1), -2),
         }
+
+
+class TestWallsInSublattice:
+    def test_primitive_one_per_sign_pair(self, lat_u3):
+        # rows of a saturated basis of the complement of E1F1, E2F2, E3F3
+        basis = [(1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, -1)]
+        walls = walls_in_sublattice(lat_u3.gram, basis, NormTargetSet([-2, -4, -8]))
+        # coefficient vectors: norm -2 is one unit vector, -4 two of them
+        # with signs, -8 only twice a unit vector (imprimitive, dropped)
+        expected = {((1, -1, 0, 0, 0, 0), -2), ((0, 0, 1, -1, 0, 0), -2), ((0, 0, 0, 0, 1, -1), -2)}
+        expected |= {
+            (sign_normalize(tuple(a + s * b for a, b in zip(basis[i], basis[j]))), -4)
+            for i, j in ((0, 1), (0, 2), (1, 2))
+            for s in (1, -1)
+        }
+        assert [(w.wall_class, w.norm) for w in walls] == sorted(expected)
+        assert walls_in_sublattice(lat_u3.gram, [], NormTargetSet([-2])) == []
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)],   # indefinite: a copy of U
+            [(1, 0, 0, 0, 0, 0)],                       # degenerate, rank 1
+            [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)],   # degenerate, rank 2
+            [(1, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0)],  # indefinite, diagonal
+            [(1, 1, 0, 0, 0, 0)],                       # positive definite
+        ],
+    )
+    def test_non_negative_definite_raises_signature_error(self, lat_u3, basis):
+        with pytest.raises(SignatureError):
+            walls_in_sublattice(lat_u3.gram, basis, NormTargetSet([-2]))
 
 
 class TestWallsThrough:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,6 @@ from bbf.exactlinalg import (
     inertia,
     integral_gso,
     kernel_int,
-    ldl,
     lll_gram,
     primitive_part,
     rank,
@@ -167,29 +170,7 @@ def test_lll_gram_congruence(seed):
             assert 2 * abs(lam[i][j]) <= d[j + 1]
 
 
-def test_ldl_reconstructs_form():
-    rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            a[i][i] = rng.randint(1, 3)
-            for j in range(i + 1, n):
-                a[i][j] = 0
-        g = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        d, mu = ldl(g)
-        x = [rng.randint(-4, 4) for _ in range(n)]
-        direct = sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-        via_ldl = sum(
-            d[i] * (x[i] + sum(mu[i][j] * x[j] for j in range(i + 1, n))) ** 2
-            for i in range(n)
-        )
-        assert via_ldl == direct
-
-
-def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ldl([[0, 1], [1, 0]])
+def test_integral_gso_rejects_indefinite():
     with pytest.raises(ValueError):
         integral_gso([[-2, 0], [0, 2]])
 
@@ -243,8 +224,46 @@ def test_short_vectors_against_box_oracle(seed):
     g = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     bound = rng.randint(1, 10)
     assert sorted(short_vectors(g, bound)) == brute_short_vectors(g, bound)
-    # reduce=False path agrees too
-    assert sorted(short_vectors(g, bound, reduce=False)) == brute_short_vectors(g, bound)
+
+
+def test_invalid_input_raises_typed_errors():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1,))
+    with pytest.raises(ValueError):
+        inertia([[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        diagonalize_symmetric([[1, 2], [0, 1]])
+    with pytest.raises(ValueError):
+        vectors_of_norms([[2]], [0, 2])
+    with pytest.raises(ValueError):
+        vectors_of_norms([[2]], [])
+    with pytest.raises(ValueError):
+        kernel_int([])
+    # integer Grams only: a Fraction entry must not be truncated silently
+    with pytest.raises(TypeError):
+        short_vectors([[Fraction(1, 2), 0], [0, 1]], 4)
+
+
+OPTIMIZED_CHECKS = """
+from bbf.exactlinalg import dot, short_vectors
+for call in (lambda: dot((1, 2), (1,)), lambda: short_vectors([[0, 1], [1, 0]], 4)):
+    try:
+        call()
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_checks_hold_under_python_O():
+    # bare asserts vanish under -O; these checks must not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["ValueError", "ValueError"]
 
 
 def test_e8_has_240_roots():

@@ -365,17 +365,23 @@ def test_wall_hits_detected_and_survived(lat_k3):
     assert rep_prime.wall_hits == 0
 
 
-def test_hot_path_matches_public_operation(lat_k3):
-    # the fiber frame's specialized complement/enumeration pipeline must
-    # agree with the general-purpose period-image test
+def test_hot_path_matches_public_operation(lat_k3, lat_u3):
+    # the fiber frame (plane complements in frame coordinates) must agree
+    # with the public period-image test (complements in ambient coordinates)
     rng = random.Random(77)
     while True:
         x = tuple(rng.randint(-2, 2) for _ in range(22))
         if lat_k3.q(x) > 0:
             break
-    samples = sample_fiber(lat_k3, x, 6, [-2], seed=13)
-    for s in samples:
-        rows = [x, s.point.plane.basis[0], s.point.plane.basis[1]]
-        public = in_hk_period_image(lat_k3, rows, [-2])
-        assert public.in_image == s.accepted
-        assert {w.wall_class for w in public.witnesses} == {w.wall_class for w in s.witnesses}
+    cases = [
+        (lat_k3, x, [-2], 6),
+        # frame-coordinate primitivity and +- deduplication: -8 classes
+        # that are twice a -2 class must be dropped, each wall kept once
+        (lat_u3, (1, 2, 0, 0, 0, 0), [-2, -8], 40),
+    ]
+    for lat, x, norms, count in cases:
+        for s in sample_fiber(lat, x, count, norms, seed=13):
+            rows = [x, s.point.plane.basis[0], s.point.plane.basis[1]]
+            public = in_hk_period_image(lat, rows, norms)
+            assert public.in_image == s.accepted
+            assert public.witnesses == s.witnesses
