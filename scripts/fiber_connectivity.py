@@ -10,6 +10,7 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
 from bbf.catalog import builtin_catalog, load_catalog
 from bbf.periods import fiber_connectivity_experiment
@@ -25,7 +26,7 @@ def main() -> int:
     ap.add_argument("--x-seed", type=int, default=2026, help="seed for drawing the base class")
     args = ap.parse_args()
 
-    catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
+    catalog = load_catalog(Path(args.catalog)) if args.catalog else builtin_catalog()
     spec = catalog[args.name]
     lat = spec.lattice()
 

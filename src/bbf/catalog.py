@@ -162,18 +162,11 @@ def load_entry(data: dict[str, Any]) -> DeformationTypeSpec:
 
 
 def load_catalog(source: str | Path | Iterable[dict[str, Any]]) -> dict[str, DeformationTypeSpec]:
-    """Load a catalog document: a JSON list of entries (path or text), or an
-    already-parsed list.  Returns an ordered name -> entry mapping."""
+    """Load a catalog document: a Path is read as a JSON file, a str is the
+    JSON text itself, anything else is an already-parsed list of entries.
+    Returns an ordered name -> entry mapping."""
     if isinstance(source, (str, Path)):
-        text = str(source)
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            try:
-                if Path(source).exists():
-                    text = Path(source).read_text()
-            except OSError:
-                pass  # not a usable path; treat as JSON text
+        text = source.read_text() if isinstance(source, Path) else source
         try:
             parsed = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -17,6 +17,7 @@ from .exactlinalg import (
     clear_denominators,
     combine_rows,
     content,
+    dot,
     gram_restrict,
     inertia,
     is_symmetric,
@@ -97,19 +98,22 @@ def enumerate_vectors_of_norm(
 ) -> list[IntVec]:
     """Exactly the integer vectors z with z . gram . z == target, for a
     negative-definite integer Gram and a negative target, in lexicographic
-    order.  Finiteness is immediate from definiteness."""
+    order.  Finiteness is immediate from definiteness, which the
+    leading-minor test of Fincke-Pohst decides: SignatureError otherwise.
+    Integer Grams only (TypeError on any other entry)."""
     if not is_symmetric(gram):
         raise InvariantViolation("gram matrix must be symmetric")
-    if definiteness(gram) is not Definiteness.NEGATIVE_DEFINITE:
-        raise SignatureError(
-            "enumeration requires a negative-definite gram (inertia %s)"
-            % (inertia(gram),)
-        )
     target = int(target)
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
-    flipped = [[-int(x) for x in row] for row in gram]
-    return vectors_of_norms(flipped, [-target])[-target]
+    try:
+        hits = vectors_of_norms([[-x for x in row] for row in gram], [-target])[-target]
+    except ValueError:
+        raise SignatureError(
+            "enumeration requires a negative-definite gram (inertia %s)"
+            % (inertia(gram),)
+        ) from None
+    return sorted(hits)
 
 
 def walls_in_sublattice(
@@ -163,7 +167,7 @@ def mbm_candidates_in_complement(
     basis = subspace.basis if isinstance(subspace, RationalSubspace) else tuple(
         vec_rat(r) for r in subspace
     )
-    sub_gram = gram_restrict(basis, lattice.gram)
+    sub_gram = lattice.restricted_gram(basis)
     if definiteness(sub_gram) is not Definiteness.POSITIVE_DEFINITE:
         raise InvariantViolation(
             "subspace restriction must be positive definite, inertia %s"
@@ -302,30 +306,31 @@ def separating_walls(
     # denominator-cleared u' and scale the bound to match
     u_int = clear_denominators(u)
     gu = mat_vec(lattice.gram, u_int)
-    quu_int = int(lattice.q(u_int))
+    gv = mat_vec(lattice.gram, v)
+    quu_int = dot(u_int, gu)
     n = lattice.rank
     phi_gram = [
         [2 * gu[i] * gu[j] - quu_int * lattice.gram[i][j] for j in range(n)]
         for i in range(n)
     ]
     phi_bound = quu_int * (2 * big_m * b_max / Fraction(quu) + big_m)
+    # a candidate's form value phi = 2 q(z,u')^2 - q(u',u') q(z,z) gives
+    # q(z,z) exactly; u' is a positive multiple of u, so q(z,u') has the
+    # sign of q(z,u)
+    scaled_norms = {quu_int * m: m for m in norms}
 
-    reports: dict[IntVec, WallReport] = {}
-    for z, _phi in short_vectors(phi_gram, phi_bound):
-        qzz = lattice.q(z)
-        if qzz not in norms.norms:
+    out = []
+    for z, phi in short_vectors(phi_gram, phi_bound):
+        qzu_int = dot(z, gu)
+        qzz = scaled_norms.get(2 * qzu_int * qzu_int - phi)
+        if qzz is None:
             continue
-        if content(z) != 1:
+        qzv = dot(z, gv)
+        # z and -z give the same wall: keep the sign-normalized one
+        if qzu_int * qzv >= 0 or z != sign_normalize(z) or content(z) != 1:
             continue
         qzu = Fraction(lattice.inner(z, u))
-        qzv = Fraction(lattice.inner(z, v))
-        if qzu * qzv >= 0:
-            continue
-        t = qzu / (qzu - qzv)
-        zn = sign_normalize(z)
-        if zn not in reports:
-            reports[zn] = WallReport(wall_class=zn, norm=int(qzz), crossing_parameter=t)
-    out = list(reports.values())
+        out.append(WallReport(wall_class=z, norm=qzz, crossing_parameter=qzu / (qzu - qzv)))
     out.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
     return out
 

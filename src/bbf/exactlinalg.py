@@ -44,11 +44,6 @@ def mat_vec(m: Sequence[Sequence[Rational]], v: Sequence[Rational]) -> list[Rati
     return [dot(row, v) for row in m]
 
 
-def mat_mul(a: Sequence[Sequence[Rational]], b: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
-
-
 def gram_restrict(basis: Sequence[Sequence[Rational]], gram: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
     """basis . gram . basis^T for a set of row vectors."""
     gb = [mat_vec(gram, row) for row in basis]
@@ -109,7 +104,8 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     a = [list(map(int, row)) for row in m]
-    assert all(len(row) == n for row in a), "determinant needs a square matrix"
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -414,22 +410,19 @@ def integral_gso(g: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]
     return lam, d
 
 
-def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int]]]:
-    """LLL-reduce a positive-definite integer Gram matrix.
+def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int]], list[int]]:
+    """LLL-reduce a positive-definite integer Gram matrix (delta = 3/4).
 
-    Returns (U, G') with U unimodular and G' = U . gram . U^T reduced
-    (delta = 3/4).  All-integer de Weger arithmetic; no floats, no
-    Fractions.
+    Returns (U, lam, d): U unimodular, and the all-integer Gram-Schmidt
+    data of the reduced Gram U . gram . U^T, exactly as integral_gso would
+    compute it from that Gram.  All-integer de Weger arithmetic; no floats,
+    no Fractions.  TypeError on a non-integer entry; ValueError (the
+    leading-minor test of integral_gso) when gram is not positive definite.
     """
     n = len(gram)
-    g = [[index(x) for x in row] for row in gram]  # TypeError on a non-integer entry
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n <= 1:
-        if n == 1 and g[0][0] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        return [vec_int(r) for r in u], g
-
+    g = [[index(x) for x in row] for row in gram]
     lam, d = integral_gso(g)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def red(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -460,8 +453,7 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
                 red(k, l)
             k += 1
 
-    reduced = mat_mul(mat_mul(u, g), list(zip(*u)))
-    return [vec_int(r) for r in u], [[int(x) for x in row] for row in reduced]
+    return [vec_int(r) for r in u], lam, d
 
 
 # ---------------------------------------------------------------------------
@@ -470,27 +462,25 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
 
 def short_vectors(gram: Sequence[Sequence[int]], bound: Rational) -> list[tuple[IntVec, int]]:
     """All integer vectors z (including both signs) with
-    0 < z . gram . z^T <= bound, for a positive-definite integer gram.
+    0 < z . gram . z^T <= bound, for a positive-definite integer gram, each
+    with its norm, in no particular order.
 
-    Output is sorted lexicographically.  The gram is always LLL-reduced
-    first, which only affects speed, never the result set.  Raises
-    ValueError when gram is not positive definite (the exact leading-minor
-    test of integral_gso).
+    The gram is always LLL-reduced first, which only affects speed, never
+    the result set.  Raises ValueError when gram is not positive definite
+    (the exact leading-minor test of integral_gso).
     """
     if not gram:
         return []
-    u, reduced = lll_gram(gram)
-    out = [(combine_rows(z, u), norm) for z, norm in _enumerate_int(reduced, int(bound))]
-    out.sort(key=lambda pair: pair[0])
-    return out
+    u, lam, d = lll_gram(gram)
+    return [(combine_rows(z, u), norm) for z, norm in _enumerate_int(lam, d, int(bound))]
 
 
-def _enumerate_int(gram: list[list[int]], bound: int) -> list[tuple[IntVec, int]]:
-    """Fincke-Pohst over a positive-definite integer Gram with all-integer
-    pruning arithmetic.  Remaining budgets are carried as unreduced integer
-    fractions; every comparison is an exact integer cross-multiplication."""
-    n = len(gram)
-    lam, d = integral_gso(gram)
+def _enumerate_int(lam: list[list[int]], d: list[int], bound: int) -> list[tuple[IntVec, int]]:
+    """Fincke-Pohst from the integral Gram-Schmidt data (lam, d) of a
+    positive-definite integer Gram, with all-integer pruning arithmetic.
+    Remaining budgets are carried as unreduced integer fractions; every
+    comparison is an exact integer cross-multiplication."""
+    n = len(lam)
     results: list[tuple[IntVec, int]] = []
     x = [0] * n
 

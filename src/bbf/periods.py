@@ -285,7 +285,7 @@ class _FiberFrame:
         basis = kernel_int([constraint], canonical=False)
         # improve coordinates: Euclidean LLL keeps later Gram entries small
         euclid = [[dot(r1, r2) for r2 in basis] for r1 in basis]
-        u, _ = lll_gram(euclid)
+        u = lll_gram(euclid)[0]
         self.basis = [combine_rows(row, basis) for row in u]
         self.gram_n = gram_restrict(self.basis, lattice.gram)
         self.dim = len(basis)

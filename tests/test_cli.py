@@ -196,6 +196,15 @@ class TestErrorsAndExitCodes:
         doc = json.loads(out)
         assert doc["error"]["type"] == "InvariantViolation"
 
+    def test_wrong_length_rows_exit_1(self, capsys):
+        for argv in (
+            ["hk-image", "--name", "toy-U3", "--plane", "1,2;0,1;1,1"],
+            ["mbm-in-complement", "--name", "toy-U3", "--subspace", "1,2;0,1;1,1"],
+        ):
+            assert main(argv) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["error"]["type"] == "DimensionMismatch"
+
     def test_usage_error_exit_2(self, capsys):
         code = main(["no-such-command"])
         assert code == 2

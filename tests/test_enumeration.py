@@ -18,7 +18,7 @@ from bbf.enumeration import (
     walls_in_sublattice,
 )
 from bbf.exactlinalg import content, det_bareiss, sign_normalize
-from bbf.lattice import InvariantViolation, SignatureError, diagonal_matrix
+from bbf.lattice import DimensionMismatch, InvariantViolation, SignatureError, diagonal_matrix
 
 E1F1 = (1, 1, 0, 0, 0, 0)
 E2F2 = (0, 0, 1, 1, 0, 0)
@@ -99,6 +99,12 @@ class TestEnumerateVectorsOfNorm:
         with pytest.raises(InvariantViolation):
             enumerate_vectors_of_norm(diagonal_matrix([-2]), 2)
 
+    def test_rejects_non_integer_gram(self):
+        # -5/2 must not be truncated to -2, which would return (+-1,) of
+        # norm -5/2 for target -2
+        with pytest.raises(TypeError):
+            enumerate_vectors_of_norm([[Fraction(-5, 2)]], -2)
+
     def test_lexicographic_order(self):
         rng = random.Random(1)
         g = random_negative_definite(rng)
@@ -151,6 +157,10 @@ class TestMbmInComplement:
             mbm_candidates_in_complement(
                 lat_u3, [(1, -1, 0, 0, 0, 0), E2F2, E3F3], [-2]
             )
+
+    def test_wrong_length_rows_rejected(self, lat_u3):
+        with pytest.raises(DimensionMismatch):
+            mbm_candidates_in_complement(lat_u3, [(1, 2), (0, 1), (1, 1)], [-2])
 
     def test_imprimitive_hits_are_dropped(self, lat_u3):
         # the complement here is diag(-2,-2,-2); every norm -8 solution is
@@ -339,16 +349,14 @@ class TestSeparatingWalls:
     def test_scaling_invariance(self, lat_hyp):
         u, v = (3, 4, 1), (4, 3, -1)
         base = {w.wall_class for w in separating_walls(lat_hyp, u, v, [-2])}
-        scaled = {
-            w.wall_class
-            for w in separating_walls(
-                lat_hyp,
-                tuple(Fraction(7, 3) * x for x in u),
-                tuple(5 * x for x in v),
-                [-2],
-            )
-        }
-        assert base == scaled
+        su = tuple(Fraction(7, 3) * x for x in u)
+        sv = tuple(5 * x for x in v)
+        scaled = separating_walls(lat_hyp, su, sv, [-2])
+        assert base == {w.wall_class for w in scaled}
+        # the crossing parameter belongs to the segment between the given
+        # (rational) endpoints, not to their rescaled integral models
+        got = {w.wall_class: w.crossing_parameter for w in scaled}
+        assert got == brute_separating(lat_hyp, su, sv, (-2,), box=12)
 
 
 class TestSameChamber:

@@ -159,15 +159,20 @@ def test_lll_gram_congruence(seed):
         for j in range(i + 1, n):
             a[i][j] = 0
     g = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    u, reduced = lll_gram(g)
-    assert gram_restrict(u, g) == reduced
+    u, lam, d = lll_gram(g)
+    reduced = gram_restrict(u, g)
     assert abs(det_bareiss([list(r) for r in u])) == 1
     assert det_bareiss(reduced) == det_bareiss(g)
-    # size reduction holds: |mu_ij| <= 1/2 via the integral GSO data
-    lam, d = integral_gso(reduced)
+    # the returned data is the exact integral GSO of U . g . U^T
+    assert (lam, d) == integral_gso(reduced)
+    # size reduction: |mu_ij| <= 1/2 with mu_ij = lam[i][j] / d[j+1]
     for i in range(n):
         for j in range(i):
             assert 2 * abs(lam[i][j]) <= d[j + 1]
+    # Lovasz condition (delta = 3/4) on |b*_k|^2 = d[k+1]/d[k], multiplied
+    # through by d[k-1] d[k]
+    for k in range(1, n):
+        assert 4 * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) >= 3 * d[k] ** 2
 
 
 def test_integral_gso_rejects_indefinite():
@@ -239,14 +244,20 @@ def test_invalid_input_raises_typed_errors():
         vectors_of_norms([[2]], [])
     with pytest.raises(ValueError):
         kernel_int([])
+    with pytest.raises(ValueError):
+        det_bareiss([[1, 2, 3], [4, 5, 6]])
     # integer Grams only: a Fraction entry must not be truncated silently
     with pytest.raises(TypeError):
         short_vectors([[Fraction(1, 2), 0], [0, 1]], 4)
 
 
 OPTIMIZED_CHECKS = """
-from bbf.exactlinalg import dot, short_vectors
-for call in (lambda: dot((1, 2), (1,)), lambda: short_vectors([[0, 1], [1, 0]], 4)):
+from bbf.exactlinalg import det_bareiss, dot, short_vectors
+for call in (
+    lambda: dot((1, 2), (1,)),
+    lambda: short_vectors([[0, 1], [1, 0]], 4),
+    lambda: det_bareiss([[1, 2, 3], [4, 5, 6]]),
+):
     try:
         call()
     except ValueError:
@@ -263,7 +274,7 @@ def test_checks_hold_under_python_O():
         [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert done.stdout.split() == ["ValueError", "ValueError"]
+    assert done.stdout.split() == ["ValueError"] * 3
 
 
 def test_e8_has_240_roots():
