@@ -73,6 +73,8 @@ def validate_entry(data: dict[str, Any] | DeformationTypeSpec) -> list[CheckResu
     check is informational only (recorded, never failing)."""
     if isinstance(data, DeformationTypeSpec):
         data = data.to_dict()
+    if not isinstance(data, dict):
+        return [CheckResult("schema", False, "an entry must be an object, got %s" % type(data).__name__)]
     checks: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str, info: bool = False) -> bool:
@@ -161,20 +163,31 @@ def load_entry(data: dict[str, Any]) -> DeformationTypeSpec:
     )
 
 
+def read_catalog_document(source: str | Path | None = None) -> list[Any]:
+    """The unvalidated entries of a catalog document: a Path is read as a
+    UTF-8 file, a str is the JSON text itself, None is the bundled catalog.
+    CatalogError when the file is not UTF-8, the text is not JSON or its
+    top level is not a list."""
+    try:
+        if source is None:
+            source = resources.files("bbf").joinpath("data/catalog.json").read_text(encoding="utf-8")
+        elif isinstance(source, Path):
+            source = source.read_text(encoding="utf-8")
+        parsed = json.loads(source)
+    except UnicodeDecodeError as exc:
+        raise CatalogError("catalog is not UTF-8 text: %s" % exc) from exc
+    except json.JSONDecodeError as exc:
+        raise CatalogError("catalog is not valid JSON: %s" % exc) from exc
+    if not isinstance(parsed, list):
+        raise CatalogError("catalog document must be a top-level list of entries")
+    return parsed
+
+
 def load_catalog(source: str | Path | Iterable[dict[str, Any]]) -> dict[str, DeformationTypeSpec]:
     """Load a catalog document: a Path is read as a JSON file, a str is the
     JSON text itself, anything else is an already-parsed list of entries.
     Returns an ordered name -> entry mapping."""
-    if isinstance(source, (str, Path)):
-        text = source.read_text() if isinstance(source, Path) else source
-        try:
-            parsed = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CatalogError("catalog is not valid JSON: %s" % exc) from exc
-    else:
-        parsed = list(source)
-    if not isinstance(parsed, list):
-        raise CatalogError("catalog document must be a top-level list of entries")
+    parsed = read_catalog_document(source) if isinstance(source, (str, Path)) else list(source)
     out: dict[str, DeformationTypeSpec] = {}
     for item in parsed:
         if not isinstance(item, dict):
@@ -188,8 +201,7 @@ def load_catalog(source: str | Path | Iterable[dict[str, Any]]) -> dict[str, Def
 
 def builtin_catalog() -> dict[str, DeformationTypeSpec]:
     """The bundled catalog: the K3 lattice plus synthetic test entries."""
-    text = resources.files("bbf").joinpath("data/catalog.json").read_text()
-    return load_catalog(text)
+    return load_catalog(read_catalog_document())
 
 
 def serialize_catalog(entries: Iterable[DeformationTypeSpec]) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
-from .catalog import CatalogError, DeformationTypeSpec, builtin_catalog, load_catalog, validate_entry
+from .catalog import CatalogError, DeformationTypeSpec, load_catalog, read_catalog_document, validate_entry
 from .enumeration import (
     NormTargetSet,
     chamber_membership,
@@ -129,13 +129,15 @@ def parse_norms(text: str) -> NormTargetSet:
 
 # -- lattice resolution ---------------------------------------------------------
 
+def _catalog_entries(catalog_arg: str | None) -> list[Any]:
+    """The raw entries of the catalog file named by --catalog, else by
+    $BBF_CATALOG, else of the bundled catalog."""
+    path = catalog_arg or os.environ.get(CATALOG_ENV)
+    return read_catalog_document(Path(path) if path else None)
+
+
 def _load_named(catalog_arg: str | None, name: str) -> DeformationTypeSpec:
-    if catalog_arg:
-        cat = load_catalog(Path(catalog_arg))
-    elif os.environ.get(CATALOG_ENV):
-        cat = load_catalog(Path(os.environ[CATALOG_ENV]))
-    else:
-        cat = builtin_catalog()
+    cat = load_catalog(_catalog_entries(catalog_arg))
     if name not in cat:
         raise CatalogError("no catalog entry named %r (have: %s)" % (name, sorted(cat)))
     return cat[name]
@@ -335,16 +337,8 @@ def cmd_fiber_connectivity(args) -> dict[str, Any]:
 
 
 def cmd_validate_catalog(args) -> dict[str, Any]:
-    if args.catalog:
-        raw = json.loads(Path(args.catalog).read_text())
-    elif os.environ.get(CATALOG_ENV):
-        raw = json.loads(Path(os.environ[CATALOG_ENV]).read_text())
-    else:
-        raw = [e.to_dict() for e in builtin_catalog().values()]
-    if not isinstance(raw, list):
-        raise CatalogError("catalog document must be a top-level list of entries")
     entries = []
-    for item in raw:
+    for item in _catalog_entries(args.catalog):
         checks = validate_entry(item)
         entries.append(
             {
@@ -512,7 +506,7 @@ def run(argv: Sequence[str]) -> CommandResult:
         return CommandResult(
             status="error", error={"type": type(exc).__name__, "message": str(exc)}
         )
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return CommandResult(
             status="error", error={"type": type(exc).__name__, "message": str(exc)}
         )

@@ -21,11 +21,11 @@ from .exactlinalg import (
     gram_restrict,
     inertia,
     is_symmetric,
+    lll_gram,
     mat_vec,
     short_vectors,
     sign_normalize,
     vec_rat,
-    vectors_of_norms,
 )
 from .lattice import (
     BBFLattice,
@@ -93,6 +93,28 @@ class OnWallError(InvariantViolation):
         self.walls = walls
 
 
+def _negative_definite_search(
+    gram: Sequence[Sequence[int]], norms: Iterable[int]
+) -> tuple[list[IntVec], dict[int, list[IntVec]]]:
+    """Fincke-Pohst for the given negative norms: (U, {m: [x, ...]}), each x
+    of norm m (both signs) in the coordinates of the LLL-reduced basis, the
+    rows of U.  SignatureError unless the integer Gram is negative definite
+    (the leading-minor test inside LLL decides); TypeError on other entries."""
+    try:
+        u, lam, d = lll_gram([[-x for x in row] for row in gram])
+    except ValueError:
+        raise SignatureError(
+            "enumeration requires a negative-definite form, got inertia %s"
+            % (inertia(gram),)
+        ) from None
+    table: dict[int, list[IntVec]] = {m: [] for m in norms}
+    for x, neg_norm in short_vectors(lam, d, -min(table)):
+        hits = table.get(-neg_norm)
+        if hits is not None:
+            hits.append(x)
+    return u, table
+
+
 def enumerate_vectors_of_norm(
     gram: Sequence[Sequence[int]], target: int
 ) -> list[IntVec]:
@@ -106,14 +128,8 @@ def enumerate_vectors_of_norm(
     target = int(target)
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
-    try:
-        hits = vectors_of_norms([[-x for x in row] for row in gram], [-target])[-target]
-    except ValueError:
-        raise SignatureError(
-            "enumeration requires a negative-definite gram (inertia %s)"
-            % (inertia(gram),)
-        ) from None
-    return sorted(hits)
+    u, table = _negative_definite_search(gram, [target])
+    return sorted(combine_rows(x, u) for x in table[target])
 
 
 def walls_in_sublattice(
@@ -125,28 +141,21 @@ def walls_in_sublattice(
     basis with q(z, z) in the target set, one per +- pair, as
     sign-normalized wall reports sorted by class (coordinates of gram).
 
-    basis must be saturated (the integer points of its rational span), so
-    z = c . basis is primitive exactly when its coefficient vector c is.
-    The form must be negative definite on it: the leading-minor test that
-    Fincke-Pohst runs anyway decides that, and SignatureError is raised
-    otherwise.
+    basis must be saturated (the integer points of its rational span).
+    Fincke-Pohst answers in the coordinates x of the LLL-reduced basis
+    U . basis, which is saturated too since U is unimodular, so z is
+    primitive exactly when x is; primitivity and the +- choice are decided
+    on x, and only the kept x are mapped to z = (x . U) . basis (a fiber
+    plane test mostly keeps none, so U . basis is not formed).  The form
+    must be negative definite on the sublattice: SignatureError otherwise.
     """
-    if not basis:
-        return []
-    sub_gram = gram_restrict(basis, gram)
-    try:
-        table = vectors_of_norms([[-x for x in row] for row in sub_gram], [-m for m in norms])
-    except ValueError:
-        raise SignatureError(
-            "sublattice has inertia %s; wall enumeration requires a "
-            "negative-definite sublattice" % (inertia(sub_gram),)
-        ) from None
+    u, table = _negative_definite_search(gram_restrict(basis, gram), norms)
     reports = [
-        WallReport(wall_class=sign_normalize(combine_rows(coeffs, basis)), norm=-neg_norm)
-        for neg_norm, hits in table.items()
-        for coeffs in hits
-        # coeffs and -coeffs give the same wall: keep the sign-normalized one
-        if coeffs == sign_normalize(coeffs) and content(coeffs) == 1
+        WallReport(wall_class=sign_normalize(combine_rows(combine_rows(x, u), basis)), norm=m)
+        for m, hits in table.items()
+        for x in hits
+        # x and -x give the same wall: keep the sign-normalized one
+        if x == sign_normalize(x) and content(x) == 1
     ]
     reports.sort(key=lambda r: r.wall_class)
     return reports
@@ -306,7 +315,6 @@ def separating_walls(
     # denominator-cleared u' and scale the bound to match
     u_int = clear_denominators(u)
     gu = mat_vec(lattice.gram, u_int)
-    gv = mat_vec(lattice.gram, v)
     quu_int = dot(u_int, gu)
     n = lattice.rank
     phi_gram = [
@@ -318,19 +326,27 @@ def separating_walls(
     # q(z,z) exactly; u' is a positive multiple of u, so q(z,u') has the
     # sign of q(z,u)
     scaled_norms = {quu_int * m: m for m in norms}
+    # Fincke-Pohst answers in coordinates x of the reduced basis, the rows
+    # of U: z = x . U has q(z,u') = x . (U G u') and q(z,v) = x . (U G v),
+    # so only kept walls are mapped to z
+    reduced, lam, d = lll_gram(phi_gram)
+    gu_red = mat_vec(reduced, gu)
+    gv_red = mat_vec(reduced, mat_vec(lattice.gram, v))
 
     out = []
-    for z, phi in short_vectors(phi_gram, phi_bound):
-        qzu_int = dot(z, gu)
+    for x, phi in short_vectors(lam, d, int(phi_bound)):
+        qzu_int = dot(x, gu_red)
         qzz = scaled_norms.get(2 * qzu_int * qzu_int - phi)
         if qzz is None:
             continue
-        qzv = dot(z, gv)
-        # z and -z give the same wall: keep the sign-normalized one
-        if qzu_int * qzv >= 0 or z != sign_normalize(z) or content(z) != 1:
+        qzv = dot(x, gv_red)
+        # z is primitive exactly when x is (U is unimodular); x and -x give
+        # the same wall: keep the sign-normalized x
+        if qzu_int * qzv >= 0 or content(x) != 1 or x != sign_normalize(x):
             continue
+        z = combine_rows(x, reduced)
         qzu = Fraction(lattice.inner(z, u))
-        out.append(WallReport(wall_class=z, norm=qzz, crossing_parameter=qzu / (qzu - qzv)))
+        out.append(WallReport(wall_class=sign_normalize(z), norm=qzz, crossing_parameter=qzu / (qzu - qzv)))
     out.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
     return out
 

@@ -381,7 +381,8 @@ def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: 
 
 
 def kernel_rational_constraints(constraints: Sequence[Sequence[Rational]], ncols: int) -> list[IntVec]:
-    """Saturated integer kernel of rational linear conditions."""
+    """Saturated integer kernel of rational linear conditions, in row
+    Hermite normal form."""
     return kernel_int([_integral_multiple(row)[1] for row in constraints], ncols)
 
 
@@ -460,69 +461,45 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
 # short vector enumeration (Fincke-Pohst on the integral LLL data)
 # ---------------------------------------------------------------------------
 
-def short_vectors(gram: Sequence[Sequence[int]], bound: Rational) -> list[tuple[IntVec, int]]:
-    """All integer vectors z (including both signs) with
-    0 < z . gram . z^T <= bound, for a positive-definite integer gram, each
-    with its norm, in no particular order.
-
-    The gram is always LLL-reduced first, which only affects speed, never
-    the result set.  Raises ValueError when gram is not positive definite
-    (the exact leading-minor test of integral_gso).
-    """
-    if not gram:
-        return []
-    u, lam, d = lll_gram(gram)
-    return [(combine_rows(z, u), norm) for z, norm in _enumerate_int(lam, d, int(bound))]
-
-
-def _enumerate_int(lam: list[list[int]], d: list[int], bound: int) -> list[tuple[IntVec, int]]:
-    """Fincke-Pohst from the integral Gram-Schmidt data (lam, d) of a
-    positive-definite integer Gram, with all-integer pruning arithmetic.
-    Remaining budgets are carried as unreduced integer fractions; every
-    comparison is an exact integer cross-multiplication."""
+def short_vectors(lam: Sequence[Sequence[int]], d: Sequence[int], bound: int) -> list[tuple[IntVec, int]]:
+    """Fincke-Pohst on the integral Gram-Schmidt data (lam, d) of a
+    positive-definite integer Gram, as lll_gram returns it: every x != 0,
+    both signs, with q(x) <= bound, each with q(x), in no particular order.
+    x is in the coordinates of the rows of lll_gram's U; callers map back
+    (combine_rows(x, U)) only the vectors they keep.  Pruning is all-integer:
+    exact cross-multiplications of unreduced fractions.  Rank 0 gives []."""
     n = len(lam)
     results: list[tuple[IntVec, int]] = []
-    x = [0] * n
-
-    def descend(j: int, t_num: int, t_den: int) -> None:
-        # level j uses |b*_j|^2 = d[j+1]/d[j] and center -C/d[j+1]
-        c = 0
-        for i in range(j + 1, n):
-            if x[i]:
-                c += lam[i][j] * x[i]
-        dj, dj1 = d[j], d[j + 1]
-        lim = t_num * dj * dj1
-        new_den = t_den * dj * dj1
-        for direction in (0, 1):
-            xj = -c // dj1 + direction  # floor of the real center, then +1
-            while True:
-                s = dj1 * xj + c
-                rem = lim - s * s * t_den
-                if rem < 0:
-                    break
-                if j == 0:
-                    x[0] = xj
-                    if any(x):
-                        # rem/new_den = bound - q(x), an exact integer
-                        results.append((vec_int(x), bound - rem // new_den))
-                else:
-                    x[j] = xj
-                    descend(j - 1, rem, new_den)
-                xj = xj - 1 if direction == 0 else xj + 1
-        x[j] = 0
-
-    descend(n - 1, bound, 1)
+    if n:
+        _descend(lam, d, bound, [0] * n, results, n - 1, bound, 1)
     return results
 
 
-def vectors_of_norms(gram: Sequence[Sequence[int]], norms: Iterable[int]) -> dict[int, list[IntVec]]:
-    """Integer vectors of a positive-definite integer gram hitting each of
-    the given exact positive norms."""
-    targets = sorted(set(int(t) for t in norms))
-    if not targets or targets[0] <= 0:
-        raise ValueError("norm targets must be positive, got %s" % (targets,))
-    table: dict[int, list[IntVec]] = {t: [] for t in targets}
-    for z, norm in short_vectors(gram, targets[-1]):
-        if norm in table:
-            table[norm].append(z)
-    return table
+def _descend(lam, d, bound, x, results, j, t_num, t_den) -> None:
+    """One Fincke-Pohst level j with budget t_num/t_den; x[j+1:] is fixed.
+    A module-level function, so a search leaves no reference cycle."""
+    # level j uses |b*_j|^2 = d[j+1]/d[j] and center -c/d[j+1]
+    c = 0
+    for i in range(j + 1, len(x)):
+        if x[i]:
+            c += lam[i][j] * x[i]
+    dj, dj1 = d[j], d[j + 1]
+    lim = t_num * dj * dj1
+    new_den = t_den * dj * dj1
+    for direction in (0, 1):
+        xj = -c // dj1 + direction  # floor of the real center, then +1
+        while True:
+            s = dj1 * xj + c
+            rem = lim - s * s * t_den
+            if rem < 0:
+                break
+            if j == 0:
+                x[0] = xj
+                if any(x):
+                    # rem/new_den = bound - q(x), an exact integer
+                    results.append((tuple(x), bound - rem // new_den))
+            else:
+                x[j] = xj
+                _descend(lam, d, bound, x, results, j - 1, rem, new_den)
+            xj = xj - 1 if direction == 0 else xj + 1
+    x[j] = 0

@@ -21,7 +21,6 @@ from .exactlinalg import (
     det_rational,
     dot,
     gram_restrict,
-    hnf,
     inertia,
     is_symmetric,
     kernel_int,
@@ -154,7 +153,7 @@ class BBFLattice:
         if mat_rank(basis) != len(basis):
             raise InvariantViolation("orthogonal complement requires a full-row-rank basis")
         constraints = [mat_vec(self.gram, row) for row in basis]
-        return hnf(kernel_rational_constraints(constraints, self.rank))
+        return kernel_rational_constraints(constraints, self.rank)
 
     def is_type_11(self, z: Sequence[Rational], plane: "OrientedPositiveSubspace") -> bool:
         """Whether z is orthogonal to every vector of the given plane."""

@@ -1,6 +1,11 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbf.catalog import builtin_catalog, serialize_catalog
 from bbf.cli import main, parse_matrix, parse_vector, rat_str, run, vec_str
@@ -239,6 +244,25 @@ class TestErrorsAndExitCodes:
         assert res.error["type"] == "CatalogError"
         assert "NotThere" in res.error["message"]
 
+    def test_non_object_entry_fails_schema(self, tmp_path, capsys):
+        path = tmp_path / "ints.json"
+        path.write_text("[1]")
+        assert main(["validate-catalog", "--catalog", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["all_passed"] is False
+        assert [c["check"] for c in doc["entries"][0]["checks"]] == ["schema"]
+
+    def test_non_utf8_catalog_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[{"name": "\xe9"}]')
+        for argv in (
+            ["lattice", "info", "--catalog", str(path), "--name", "K3"],
+            ["validate-catalog", "--catalog", str(path)],
+        ):
+            assert main(argv) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["error"]["type"] == "CatalogError"
+
 
 class TestDeterminismAndEnv:
     def test_seeded_commands_byte_identical(self, capsys):
@@ -280,3 +304,88 @@ class TestDeterminismAndEnv:
             main(args)
             out = capsys.readouterr().out
             json.loads(out)
+
+
+# -- CLI fuzzing: any argv built from these tokens must give exit code 0, 1
+# or 2 and exactly one JSON document on stdout, never a traceback.  K3 stays
+# out (its calls are slow); --help is left out, since argparse prints usage
+# text for it by design.
+
+LATTICE_FLAGS = ["--catalog", "--name", "--gram"]
+WALL_FLAGS = LATTICE_FLAGS + ["--norms"]
+COMMAND_FLAGS = {
+    ("lattice", "info"): ["--catalog", "--name"],
+    ("lattice",): [],
+    ("signature",): LATTICE_FLAGS,
+    ("complement",): LATTICE_FLAGS + ["--subspace"],
+    ("enumerate-norm",): ["--gram", "--norm"],
+    ("mbm-in-complement",): WALL_FLAGS + ["--subspace"],
+    ("walls-through",): WALL_FLAGS + ["--vector"],
+    ("separating-walls",): WALL_FLAGS + ["--from", "--to"],
+    ("chamber",): WALL_FLAGS + ["--vector"],
+    ("same-chamber",): WALL_FLAGS + ["--reference", "--vector"],
+    ("hk-image",): WALL_FLAGS + ["--plane"],
+    ("symp-image",): LATTICE_FLAGS + ["--vector"],
+    ("twistor",): LATTICE_FLAGS + ["--triple", "--direction"],
+    ("hk-equiv",): LATTICE_FLAGS + ["--triple", "--other"],
+    ("fiber-sample",): WALL_FLAGS + ["--vector", "--count", "--seed"],
+    ("fiber-connectivity",): WALL_FLAGS + ["--vector", "--pairs", "--steps", "--seed"],
+    ("validate-catalog",): ["--catalog"],
+    ("bogus",): [],
+    (): [],
+}
+VECTORS = ["1,1,0", "3,4,1", "1,2,0,0,0,0", "1,1,0,0,0,0", "0,0,0", "1/2,1/2,0", "1,0", "1/0", "abc", "", "1,,2"]
+MATRICES = [
+    HYP, "0,1;1,0", "-2,0;0,-2", "-2", "1,0,0;0,1,0;0,0,1", "1,2,0,0,0,0;0,0,1,2,0,0;0,0,0,0,1,2",
+    "1,2;0,1", "1/2,0;0,1", "1;2,3", "1/0", "abc", "",
+]
+NORMS = ["-2", "-2,-4", "-4", "2", "0", "-1/2", "1/0", "abc", ""]
+COUNTS = ["0", "1", "3", "-1", "x", ""]
+FLAG_VALUES = {
+    "--name": ["toy-U3", "nope", ""],
+    "--gram": MATRICES, "--subspace": MATRICES, "--plane": MATRICES,
+    "--triple": MATRICES, "--other": MATRICES,
+    "--norms": NORMS, "--norm": NORMS,
+    "--vector": VECTORS, "--from": VECTORS, "--to": VECTORS,
+    "--reference": VECTORS, "--direction": VECTORS,
+    "--count": COUNTS, "--seed": COUNTS, "--pairs": COUNTS, "--steps": COUNTS,
+}
+ALL_FLAGS = sorted(FLAG_VALUES) + ["--catalog"]
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    """Catalog paths for --catalog: a good one and broken ones."""
+    root = tmp_path_factory.mktemp("catalogs")
+    docs = {
+        "toy.json": serialize_catalog([builtin_catalog()["toy-U3"]]).encode(),
+        "ints.json": b"[1]",
+        "object.json": b'{"name": "toy-U3"}',
+        "latin1.json": b'[{"name": "\xe9"}]',
+        "broken.json": b"[{",
+    }
+    for name, data in docs.items():
+        (root / name).write_bytes(data)
+    return [str(root / name) for name in docs] + [str(root / "missing.json"), ""]
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS), ids=" ".join)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_argv_gives_one_json_document(self, catalog_files, command, data):
+        values = dict(FLAG_VALUES, **{"--catalog": catalog_files})
+        # mostly the command's own flags, so that most argvs reach a handler
+        argv = list(command)
+        for name in COMMAND_FLAGS[command]:
+            if data.draw(st.booleans(), label="keep " + name):
+                argv += [name, data.draw(st.sampled_from(values[name]))]
+        tokens = ALL_FLAGS + ["lattice", "info", "signature"] + VECTORS + NORMS
+        argv += data.draw(st.lists(st.sampled_from(tokens), max_size=2), label="extra")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(argv)
+        text = out.getvalue()
+        assert code in (0, 1, 2)
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ("error" in json.loads(text)) == (code != 0)

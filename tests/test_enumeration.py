@@ -92,6 +92,7 @@ class TestEnumerateVectorsOfNorm:
         ]
         assert enumerate_vectors_of_norm(diagonal_matrix([-2, -2]), -6) == []
         assert enumerate_vectors_of_norm(diagonal_matrix([-4, -4, -4]), -2) == []
+        assert enumerate_vectors_of_norm([], -2) == []
 
     def test_rejects_indefinite(self):
         with pytest.raises(SignatureError):

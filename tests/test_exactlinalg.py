@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbf.exactlinalg import (
     clear_denominators,
+    combine_rows,
     det_bareiss,
     det_rational,
     diagonalize_symmetric,
@@ -24,7 +26,6 @@ from bbf.exactlinalg import (
     rank,
     short_vectors,
     sign_normalize,
-    vectors_of_norms,
     xgcd,
 )
 
@@ -228,7 +229,25 @@ def test_short_vectors_against_box_oracle(seed):
             a[i][j] = rng.randint(-1, 1)
     g = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     bound = rng.randint(1, 10)
-    assert sorted(short_vectors(g, bound)) == brute_short_vectors(g, bound)
+    # the search answers in the coordinates of the reduced basis, the rows of U
+    u, lam, d = lll_gram(g)
+    hits = [(combine_rows(x, u), norm) for x, norm in short_vectors(lam, d, bound)]
+    assert sorted(hits) == brute_short_vectors(g, bound)
+
+
+def test_short_vectors_leaves_no_reference_cycle():
+    # a search that referred to itself would keep its result list alive
+    # until the cyclic collector runs
+    _, lam, d = lll_gram([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(short_vectors(lam, d, 12)) == 86  # A3: 12 + 6 + 24 + 12 + 24 + 8
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_invalid_input_raises_typed_errors():
@@ -239,23 +258,19 @@ def test_invalid_input_raises_typed_errors():
     with pytest.raises(ValueError):
         diagonalize_symmetric([[1, 2], [0, 1]])
     with pytest.raises(ValueError):
-        vectors_of_norms([[2]], [0, 2])
-    with pytest.raises(ValueError):
-        vectors_of_norms([[2]], [])
-    with pytest.raises(ValueError):
         kernel_int([])
     with pytest.raises(ValueError):
         det_bareiss([[1, 2, 3], [4, 5, 6]])
     # integer Grams only: a Fraction entry must not be truncated silently
     with pytest.raises(TypeError):
-        short_vectors([[Fraction(1, 2), 0], [0, 1]], 4)
+        lll_gram([[Fraction(1, 2), 0], [0, 1]])
 
 
 OPTIMIZED_CHECKS = """
-from bbf.exactlinalg import det_bareiss, dot, short_vectors
+from bbf.exactlinalg import det_bareiss, dot, lll_gram
 for call in (
     lambda: dot((1, 2), (1,)),
-    lambda: short_vectors([[0, 1], [1, 0]], 4),
+    lambda: lll_gram([[0, 1], [1, 0]]),
     lambda: det_bareiss([[1, 2, 3], [4, 5, 6]]),
 ):
     try:
@@ -278,7 +293,7 @@ def test_checks_hold_under_python_O():
 
 
 def test_e8_has_240_roots():
+    from bbf.enumeration import enumerate_vectors_of_norm
     from bbf.lattice import e8_matrix
 
-    table = vectors_of_norms(e8_matrix(1), [2])
-    assert len(table[2]) == 240
+    assert len(enumerate_vectors_of_norm(e8_matrix(-1), -2)) == 240
