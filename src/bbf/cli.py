@@ -146,20 +146,18 @@ def _load_named(catalog_arg: str | None, name: str) -> DeformationTypeSpec:
 def resolve_lattice(args) -> tuple[BBFLattice, NormTargetSet | None]:
     """Pick the lattice from --gram or from --catalog/--name; the entry's
     norm set rides along as the default for wall queries."""
-    gram = getattr(args, "gram", None)
-    name = getattr(args, "name", None)
-    if gram and name:
+    if args.gram and args.name:
         raise UsageError("give either --gram or --name, not both")
-    if gram:
-        return BBFLattice(parse_int_matrix(gram)), None
-    if name:
-        entry = _load_named(getattr(args, "catalog", None), name)
+    if args.gram:
+        return BBFLattice(parse_int_matrix(args.gram)), None
+    if args.name:
+        entry = _load_named(args.catalog, args.name)
         return entry.lattice(), entry.mbm_norms
     raise UsageError("a lattice is required: pass --gram or --catalog/--name")
 
 
 def resolve_norms(args, default: NormTargetSet | None) -> NormTargetSet:
-    if getattr(args, "norms", None):
+    if args.norms:
         return parse_norms(args.norms)
     if default is not None:
         return default
@@ -167,8 +165,10 @@ def resolve_norms(args, default: NormTargetSet | None) -> NormTargetSet:
 
 
 # -- subcommand handlers ---------------------------------------------------------
+# handler(args, lattice, norms) -> JSON payload; run() resolves lattice and
+# norms from the command's lattice mode (None where it takes none).
 
-def cmd_lattice_info(args) -> dict[str, Any]:
+def cmd_lattice_info(args, lat, norms) -> dict[str, Any]:
     entry = _load_named(args.catalog, args.name)
     lat = entry.lattice()
     p, n = lat.signature()
@@ -184,20 +184,17 @@ def cmd_lattice_info(args) -> dict[str, Any]:
     }
 
 
-def cmd_signature(args) -> dict[str, Any]:
-    lat, _ = resolve_lattice(args)
+def cmd_signature(args, lat, norms) -> dict[str, Any]:
     p, n = lat.signature()
     return {"signature": [p, n], "rank": lat.rank}
 
 
-def cmd_complement(args) -> dict[str, Any]:
-    lat, _ = resolve_lattice(args)
-    basis = parse_matrix(args.subspace)
-    comp = lat.orthogonal_complement_integral(basis)
+def cmd_complement(args, lat, norms) -> dict[str, Any]:
+    comp = lat.orthogonal_complement_integral(parse_matrix(args.subspace))
     return {"basis": mat_str(comp), "rank": len(comp)}
 
 
-def cmd_enumerate_norm(args) -> dict[str, Any]:
+def cmd_enumerate_norm(args, lat, norms) -> dict[str, Any]:
     gram = parse_int_matrix(args.gram)
     f = parse_rational(args.norm)
     if f.denominator != 1:
@@ -216,32 +213,25 @@ def _wall_payload(walls) -> list[dict[str, Any]]:
     return out
 
 
-def cmd_mbm_in_complement(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
-    walls = mbm_candidates_in_complement(lat, parse_matrix(args.subspace), norms)
+def _wall_list(walls) -> dict[str, Any]:
     return {"walls": _wall_payload(walls), "count": len(walls)}
 
 
-def cmd_walls_through(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
-    walls = wall_classes_through(lat, parse_vector(args.vector), norms)
-    return {"walls": _wall_payload(walls), "count": len(walls)}
+def cmd_mbm_in_complement(args, lat, norms) -> dict[str, Any]:
+    return _wall_list(mbm_candidates_in_complement(lat, parse_matrix(args.subspace), norms))
 
 
-def cmd_separating_walls(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
-    walls = separating_walls(
-        lat, parse_vector(getattr(args, "from")), parse_vector(args.to), norms
+def cmd_walls_through(args, lat, norms) -> dict[str, Any]:
+    return _wall_list(wall_classes_through(lat, parse_vector(args.vector), norms))
+
+
+def cmd_separating_walls(args, lat, norms) -> dict[str, Any]:
+    return _wall_list(
+        separating_walls(lat, parse_vector(getattr(args, "from")), parse_vector(args.to), norms)
     )
-    return {"walls": _wall_payload(walls), "count": len(walls)}
 
 
-def cmd_chamber(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
+def cmd_chamber(args, lat, norms) -> dict[str, Any]:
     result = chamber_membership(lat, parse_vector(args.vector), norms)
     return {
         "membership": "interior" if result.interior else "on-walls",
@@ -249,18 +239,14 @@ def cmd_chamber(args) -> dict[str, Any]:
     }
 
 
-def cmd_same_chamber(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
+def cmd_same_chamber(args, lat, norms) -> dict[str, Any]:
     same = same_kahler_chamber(
         lat, parse_vector(args.reference), parse_vector(args.vector), norms
     )
     return {"same_chamber": same}
 
 
-def cmd_hk_image(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
+def cmd_hk_image(args, lat, norms) -> dict[str, Any]:
     result = in_hk_period_image(lat, parse_matrix(args.plane), norms)
     return {
         "in_image": result.in_image,
@@ -268,8 +254,7 @@ def cmd_hk_image(args) -> dict[str, Any]:
     }
 
 
-def cmd_symp_image(args) -> dict[str, Any]:
-    lat, _ = resolve_lattice(args)
+def cmd_symp_image(args, lat, norms) -> dict[str, Any]:
     v = parse_vector(args.vector)
     return {"in_image": in_symplectic_period_image(lat, v), "q": rat_str(lat.q(v))}
 
@@ -281,8 +266,7 @@ def _parse_triple(lat: BBFLattice, text: str) -> HKTripleClasses:
     return HKTripleClasses(lat, rows[0], rows[1], rows[2])
 
 
-def cmd_twistor(args) -> dict[str, Any]:
-    lat, _ = resolve_lattice(args)
+def cmd_twistor(args, lat, norms) -> dict[str, Any]:
     triple = _parse_triple(lat, args.triple)
     d = parse_vector(args.direction)
     if len(d) != 3:
@@ -296,16 +280,13 @@ def cmd_twistor(args) -> dict[str, Any]:
     }
 
 
-def cmd_hk_equiv(args) -> dict[str, Any]:
-    lat, _ = resolve_lattice(args)
+def cmd_hk_equiv(args, lat, norms) -> dict[str, Any]:
     t1 = _parse_triple(lat, args.triple)
     t2 = _parse_triple(lat, args.other)
     return {"equivalent": hk_equivalence(t1, t2)}
 
 
-def cmd_fiber_sample(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
+def cmd_fiber_sample(args, lat, norms) -> dict[str, Any]:
     samples = sample_fiber(lat, parse_vector(args.vector), args.count, norms, args.seed)
     return {
         "samples": [
@@ -320,9 +301,7 @@ def cmd_fiber_sample(args) -> dict[str, Any]:
     }
 
 
-def cmd_fiber_connectivity(args) -> dict[str, Any]:
-    lat, default = resolve_lattice(args)
-    norms = resolve_norms(args, default)
+def cmd_fiber_connectivity(args, lat, norms) -> dict[str, Any]:
     rep = fiber_connectivity_experiment(
         lat, parse_vector(args.vector), args.pairs, args.steps, norms, args.seed
     )
@@ -336,26 +315,71 @@ def cmd_fiber_connectivity(args) -> dict[str, Any]:
     }
 
 
-def cmd_validate_catalog(args) -> dict[str, Any]:
+def cmd_validate_catalog(args, lat, norms) -> dict[str, Any]:
     entries = []
     for item in _catalog_entries(args.catalog):
-        checks = validate_entry(item)
-        entries.append(
-            {
-                "name": item.get("name", "?") if isinstance(item, dict) else "?",
-                "checks": [
-                    {
-                        "check": c.name,
-                        "passed": c.passed,
-                        "detail": c.detail,
-                        "informational": c.informational,
-                    }
-                    for c in checks
-                ],
-                "passed": all(c.passed for c in checks),
-            }
-        )
+        checks = [
+            {"check": c.name, "passed": c.passed, "detail": c.detail, "informational": c.informational}
+            for c in validate_entry(item)
+        ]
+        name = item.get("name", "?") if isinstance(item, dict) else "?"
+        entries.append({"name": name, "checks": checks, "passed": all(c["passed"] for c in checks)})
     return {"entries": entries, "all_passed": all(e["passed"] for e in entries)}
+
+
+# -- command table ---------------------------------------------------------------
+# Lattice modes: the shared flags a command takes.  run() resolves a lattice
+# from them when there are any, then a norm set when --norms is among them.
+NO_LATTICE = ()
+LATTICE = ("--catalog", "--name", "--gram")
+LATTICE_NORMS = LATTICE + ("--norms",)
+
+# A command's own flags are all required, except --catalog, which falls back
+# to $BBF_CATALOG and then to the bundled catalog.
+INT_FLAGS = {"--count", "--pairs", "--steps", "--seed"}
+FLAG_HELP = {
+    "--catalog": "path to a catalog JSON document",
+    "--name": "catalog entry name",
+    "--gram": "explicit integer Gram matrix, rows separated by ';'",
+    "--norms": "comma-separated negative wall norms, e.g. '-2,-4'",
+    "--subspace": "rational rows separated by ';'",
+    "--plane": "three rows separated by ';'",
+    "--triple": "three rows x;y;z",
+    "--direction": "a,b,c (projective, rational)",
+}
+GROUP_HELP = {"lattice": "catalog lattice utilities"}
+
+# (name, help, lattice mode, own flags, handler), in --help order
+COMMANDS = [
+    ("lattice info", "rank, signature, determinant of a catalog entry", NO_LATTICE,
+     ("--catalog", "--name"), cmd_lattice_info),
+    ("signature", "exact inertia of a lattice", LATTICE, (), cmd_signature),
+    ("complement", "saturated integral orthogonal complement", LATTICE,
+     ("--subspace",), cmd_complement),
+    ("enumerate-norm", "all vectors of one negative norm", NO_LATTICE,
+     ("--gram", "--norm"), cmd_enumerate_norm),
+    ("mbm-in-complement", "wall classes orthogonal to a positive subspace", LATTICE_NORMS,
+     ("--subspace",), cmd_mbm_in_complement),
+    ("walls-through", "walls containing a positive vector", LATTICE_NORMS,
+     ("--vector",), cmd_walls_through),
+    ("separating-walls", "walls between two interior positive vectors", LATTICE_NORMS,
+     ("--from", "--to"), cmd_separating_walls),
+    ("chamber", "interior / on-walls membership", LATTICE_NORMS, ("--vector",), cmd_chamber),
+    ("same-chamber", "whether two vectors share a chamber", LATTICE_NORMS,
+     ("--reference", "--vector"), cmd_same_chamber),
+    ("hk-image", "period-image test for a positive 3-space", LATTICE_NORMS,
+     ("--plane",), cmd_hk_image),
+    ("symp-image", "period-image test for a single class", LATTICE, ("--vector",), cmd_symp_image),
+    ("twistor", "twistor family member of a class triple", LATTICE,
+     ("--triple", "--direction"), cmd_twistor),
+    ("hk-equiv", "equivalence of two class triples", LATTICE, ("--triple", "--other"), cmd_hk_equiv),
+    ("fiber-sample", "sample fiber planes over a positive class", LATTICE_NORMS,
+     ("--vector", "--count", "--seed"), cmd_fiber_sample),
+    ("fiber-connectivity", "path search between accepted fiber points", LATTICE_NORMS,
+     ("--vector", "--pairs", "--steps", "--seed"), cmd_fiber_connectivity),
+    ("validate-catalog", "run every invariant check on a catalog", NO_LATTICE,
+     ("--catalog",), cmd_validate_catalog),
+]
 
 
 # -- parser ----------------------------------------------------------------------
@@ -365,107 +389,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_lattice_args(p: argparse.ArgumentParser, norms: bool = True) -> None:
-    p.add_argument("--catalog", help="path to a catalog JSON document")
-    p.add_argument("--name", help="catalog entry name")
-    p.add_argument("--gram", help="explicit integer Gram matrix, rows separated by ';'")
-    if norms:
-        p.add_argument("--norms", help="comma-separated negative wall norms, e.g. '-2,-4'")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="bbf", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
-
-    lattice = sub.add_parser("lattice", help="catalog lattice utilities")
-    lat_sub = lattice.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    info = lat_sub.add_parser("info", help="rank, signature, determinant of a catalog entry")
-    info.add_argument("--catalog")
-    info.add_argument("--name", required=True)
-    info.set_defaults(handler=cmd_lattice_info)
-
-    p = sub.add_parser("signature", help="exact inertia of a lattice")
-    _add_lattice_args(p, norms=False)
-    p.set_defaults(handler=cmd_signature)
-
-    p = sub.add_parser("complement", help="saturated integral orthogonal complement")
-    _add_lattice_args(p, norms=False)
-    p.add_argument("--subspace", required=True, help="rational rows separated by ';'")
-    p.set_defaults(handler=cmd_complement)
-
-    p = sub.add_parser("enumerate-norm", help="all vectors of one negative norm")
-    p.add_argument("--gram", required=True)
-    p.add_argument("--norm", required=True)
-    p.set_defaults(handler=cmd_enumerate_norm)
-
-    p = sub.add_parser("mbm-in-complement", help="wall classes orthogonal to a positive subspace")
-    _add_lattice_args(p)
-    p.add_argument("--subspace", required=True)
-    p.set_defaults(handler=cmd_mbm_in_complement)
-
-    p = sub.add_parser("walls-through", help="walls containing a positive vector")
-    _add_lattice_args(p)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=cmd_walls_through)
-
-    p = sub.add_parser("separating-walls", help="walls between two interior positive vectors")
-    _add_lattice_args(p)
-    p.add_argument("--from", required=True, dest="from")
-    p.add_argument("--to", required=True)
-    p.set_defaults(handler=cmd_separating_walls)
-
-    p = sub.add_parser("chamber", help="interior / on-walls membership")
-    _add_lattice_args(p)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=cmd_chamber)
-
-    p = sub.add_parser("same-chamber", help="whether two vectors share a chamber")
-    _add_lattice_args(p)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=cmd_same_chamber)
-
-    p = sub.add_parser("hk-image", help="period-image test for a positive 3-space")
-    _add_lattice_args(p)
-    p.add_argument("--plane", required=True, help="three rows separated by ';'")
-    p.set_defaults(handler=cmd_hk_image)
-
-    p = sub.add_parser("symp-image", help="period-image test for a single class")
-    _add_lattice_args(p, norms=False)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(handler=cmd_symp_image)
-
-    p = sub.add_parser("twistor", help="twistor family member of a class triple")
-    _add_lattice_args(p, norms=False)
-    p.add_argument("--triple", required=True, help="three rows x;y;z")
-    p.add_argument("--direction", required=True, help="a,b,c (projective, rational)")
-    p.set_defaults(handler=cmd_twistor)
-
-    p = sub.add_parser("hk-equiv", help="equivalence of two class triples")
-    _add_lattice_args(p, norms=False)
-    p.add_argument("--triple", required=True)
-    p.add_argument("--other", required=True)
-    p.set_defaults(handler=cmd_hk_equiv)
-
-    p = sub.add_parser("fiber-sample", help="sample fiber planes over a positive class")
-    _add_lattice_args(p)
-    p.add_argument("--vector", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=cmd_fiber_sample)
-
-    p = sub.add_parser("fiber-connectivity", help="path search between accepted fiber points")
-    _add_lattice_args(p)
-    p.add_argument("--vector", required=True)
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=cmd_fiber_connectivity)
-
-    p = sub.add_parser("validate-catalog", help="run every invariant check on a catalog")
-    p.add_argument("--catalog")
-    p.set_defaults(handler=cmd_validate_catalog)
-
+    groups: dict[str, Any] = {}
+    for name, help_text, mode, own, handler in COMMANDS:
+        parent = sub
+        if " " in name:  # "lattice info": a subcommand of the "lattice" group
+            group, name = name.split(" ")
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUP_HELP[group]).add_subparsers(
+                    dest="subcommand", metavar="SUBCOMMAND"
+                )
+            parent = groups[group]
+        p = parent.add_parser(name, help=help_text)
+        for flag in mode + own:
+            p.add_argument(
+                flag,
+                required=flag in own and flag != "--catalog",
+                type=int if flag in INT_FLAGS else None,
+                help=FLAG_HELP.get(flag),
+            )
+        p.set_defaults(handler=handler, lattice_mode=mode)
     return top
 
 
@@ -476,17 +421,11 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and tok not in ("--help",)
-            and i + 1 < len(argv)
-        ):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
-        else:
-            out.append(tok)
+        if tok.startswith("--") and "=" not in tok and tok != "--help" and i + 1 < len(argv):
             i += 1
+            tok += "=" + argv[i]
+        out.append(tok)
+        i += 1
     return out
 
 
@@ -498,15 +437,16 @@ def run(argv: Sequence[str]) -> CommandResult:
         handler = getattr(args, "handler", None)
         if handler is None:
             raise UsageError("a subcommand is required (see --help)")
-        payload = handler(args)
+        lat = norms = None
+        if args.lattice_mode:
+            lat, default = resolve_lattice(args)
+            if "--norms" in args.lattice_mode:
+                norms = resolve_norms(args, default)
+        payload = handler(args, lat, norms)
         return CommandResult(status="ok", payload=payload)
     except UsageError as exc:
         return CommandResult(status="error", error={"type": "usage", "message": str(exc)})
-    except (LatticeError, CatalogError) as exc:
-        return CommandResult(
-            status="error", error={"type": type(exc).__name__, "message": str(exc)}
-        )
-    except OSError as exc:
+    except (LatticeError, OSError) as exc:
         return CommandResult(
             status="error", error={"type": type(exc).__name__, "message": str(exc)}
         )

@@ -96,9 +96,9 @@ class OnWallError(InvariantViolation):
 def _negative_definite_search(
     gram: Sequence[Sequence[int]], norms: Iterable[int]
 ) -> tuple[list[IntVec], dict[int, list[IntVec]]]:
-    """Fincke-Pohst for the given negative norms: (U, {m: [x, ...]}), each x
-    of norm m (both signs) in the coordinates of the LLL-reduced basis, the
-    rows of U.  SignatureError unless the integer Gram is negative definite
+    """Fincke-Pohst for the given negative norms: (U, {m: [x, ...]}), one x
+    of norm m for each +- pair, in the coordinates of the LLL-reduced basis,
+    the rows of U.  SignatureError unless the integer Gram is negative definite
     (the leading-minor test inside LLL decides); TypeError on other entries."""
     try:
         u, lam, d = lll_gram([[-x for x in row] for row in gram])
@@ -129,7 +129,8 @@ def enumerate_vectors_of_norm(
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
     u, table = _negative_definite_search(gram, [target])
-    return sorted(combine_rows(x, u) for x in table[target])
+    hits = [combine_rows(x, u) for x in table[target]]
+    return sorted(hits + [tuple(-c for c in z) for z in hits])
 
 
 def walls_in_sublattice(
@@ -142,9 +143,9 @@ def walls_in_sublattice(
     sign-normalized wall reports sorted by class (coordinates of gram).
 
     basis must be saturated (the integer points of its rational span).
-    Fincke-Pohst answers in the coordinates x of the LLL-reduced basis
-    U . basis, which is saturated too since U is unimodular, so z is
-    primitive exactly when x is; primitivity and the +- choice are decided
+    Fincke-Pohst answers with one x of each +- pair, in the coordinates of
+    the LLL-reduced basis U . basis, which is saturated too since U is
+    unimodular, so z is primitive exactly when x is; primitivity is decided
     on x, and only the kept x are mapped to z = (x . U) . basis (a fiber
     plane test mostly keeps none, so U . basis is not formed).  The form
     must be negative definite on the sublattice: SignatureError otherwise.
@@ -154,8 +155,7 @@ def walls_in_sublattice(
         WallReport(wall_class=sign_normalize(combine_rows(combine_rows(x, u), basis)), norm=m)
         for m, hits in table.items()
         for x in hits
-        # x and -x give the same wall: keep the sign-normalized one
-        if x == sign_normalize(x) and content(x) == 1
+        if content(x) == 1
     ]
     reports.sort(key=lambda r: r.wall_class)
     return reports
@@ -244,7 +244,8 @@ def _segment_bound(lattice: BBFLattice, u, v) -> Fraction:
     The right factor is what this function maximizes over the segment.  Its
     derivative numerator is linear in t (the quadratic terms cancel), so the
     exact maximum is attained at t = 0, t = 1 or the single rational
-    critical point.
+    critical point.  The caller has checked q(u,u) > 0, q(v,v) > 0 and
+    q(u,v) >= 0, so q(w_t, w_t) > 0 on [0, 1] and no quotient divides by 0.
     """
     quu = Fraction(lattice.q(u))
     quv = Fraction(lattice.inner(u, v))
@@ -256,9 +257,7 @@ def _segment_bound(lattice: BBFLattice, u, v) -> Fraction:
 
     def value(t: Fraction) -> Fraction:
         at = a0 + a1 * t
-        qt = q0 + q1 * t + q2 * t * t
-        assert qt > 0  # the positive cone component is convex
-        return at * at / qt - quu
+        return at * at / (q0 + q1 * t + q2 * t * t) - quu
 
     candidates = [Fraction(0), Fraction(1)]
     denom = a1 * q1 - 2 * a0 * q2
@@ -326,9 +325,9 @@ def separating_walls(
     # q(z,z) exactly; u' is a positive multiple of u, so q(z,u') has the
     # sign of q(z,u)
     scaled_norms = {quu_int * m: m for m in norms}
-    # Fincke-Pohst answers in coordinates x of the reduced basis, the rows
-    # of U: z = x . U has q(z,u') = x . (U G u') and q(z,v) = x . (U G v),
-    # so only kept walls are mapped to z
+    # Fincke-Pohst answers with one x of each +- pair, in coordinates of the
+    # reduced basis, the rows of U: z = x . U has q(z,u') = x . (U G u')
+    # and q(z,v) = x . (U G v), so only kept walls are mapped to z
     reduced, lam, d = lll_gram(phi_gram)
     gu_red = mat_vec(reduced, gu)
     gv_red = mat_vec(reduced, mat_vec(lattice.gram, v))
@@ -340,9 +339,8 @@ def separating_walls(
         if qzz is None:
             continue
         qzv = dot(x, gv_red)
-        # z is primitive exactly when x is (U is unimodular); x and -x give
-        # the same wall: keep the sign-normalized x
-        if qzu_int * qzv >= 0 or content(x) != 1 or x != sign_normalize(x):
+        # z is primitive exactly when x is (U is unimodular)
+        if qzu_int * qzv >= 0 or content(x) != 1:
             continue
         z = combine_rows(x, reduced)
         qzu = Fraction(lattice.inner(z, u))

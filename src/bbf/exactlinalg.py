@@ -343,38 +343,10 @@ def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: 
         if not m:
             raise ValueError("kernel_int needs at least one row or an explicit ncols")
         ncols = len(m[0])
-    if not m:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    # Column-reduce m by a unimodular transform tracked in u: the rows of u
-    # that map m's rows to zero span the kernel.
-    cols = [[int(row[j]) for row in m] for j in range(ncols)]
-    nleft = len(m)
-    u = [[1 if k == j else 0 for k in range(ncols)] for j in range(ncols)]
-    r = 0
-    for c in range(nleft):
-        pivot = next((i for i in range(r, ncols) if cols[i][c] != 0), None)
-        if pivot is None:
-            continue
-        cols[r], cols[pivot] = cols[pivot], cols[r]
-        u[r], u[pivot] = u[pivot], u[r]
-        for i in range(r + 1, ncols):
-            if cols[i][c] == 0:
-                continue
-            a, b = cols[r][c], cols[i][c]
-            g, s, t = xgcd(a, b)
-            aa, bb = a // g, b // g
-            cols[r], cols[i] = (
-                [s * p + t * q for p, q in zip(cols[r], cols[i])],
-                [-bb * p + aa * q for p, q in zip(cols[r], cols[i])],
-            )
-            u[r], u[i] = (
-                [s * p + t * q for p, q in zip(u[r], u[i])],
-                [-bb * p + aa * q for p, q in zip(u[r], u[i])],
-            )
-        r += 1
-        if r == ncols:
-            break
-    kernel = [vec_int(u[i]) for i in range(r, ncols)]
+    # the rows of u with u . m^T == 0, the zero rows of the HNF, span the
+    # kernel (all of u when m has no rows)
+    h, u = hnf_with_transform([[row[j] for row in m] for j in range(ncols)])
+    kernel = u[len(h):]
     if canonical:
         kernel = hnf(kernel)
     return kernel
@@ -463,21 +435,24 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
 
 def short_vectors(lam: Sequence[Sequence[int]], d: Sequence[int], bound: int) -> list[tuple[IntVec, int]]:
     """Fincke-Pohst on the integral Gram-Schmidt data (lam, d) of a
-    positive-definite integer Gram, as lll_gram returns it: every x != 0,
-    both signs, with q(x) <= bound, each with q(x), in no particular order.
-    x is in the coordinates of the rows of lll_gram's U; callers map back
-    (combine_rows(x, U)) only the vectors they keep.  Pruning is all-integer:
-    exact cross-multiplications of unreduced fractions.  Rank 0 gives []."""
+    positive-definite integer Gram, as lll_gram returns it: one x of each
+    +- pair x != 0 with q(x) <= bound (the one whose last nonzero coordinate
+    is positive), each with q(x), in no particular order; -x is the other
+    half of the answer.  x is in the coordinates of the rows of lll_gram's
+    U; callers map back (combine_rows(x, U)) only the vectors they keep.
+    Pruning is all-integer: exact cross-multiplications of unreduced
+    fractions.  Rank 0 gives []."""
     n = len(lam)
     results: list[tuple[IntVec, int]] = []
     if n:
-        _descend(lam, d, bound, [0] * n, results, n - 1, bound, 1)
+        _descend(lam, d, bound, [0] * n, results, n - 1, bound, 1, True)
     return results
 
 
-def _descend(lam, d, bound, x, results, j, t_num, t_den) -> None:
-    """One Fincke-Pohst level j with budget t_num/t_den; x[j+1:] is fixed.
-    A module-level function, so a search leaves no reference cycle."""
+def _descend(lam, d, bound, x, results, j, t_num, t_den, top) -> None:
+    """One Fincke-Pohst level j with budget t_num/t_den; x[j+1:] is fixed,
+    and all zero when top is set.  A module-level function, so a search
+    leaves no reference cycle."""
     # level j uses |b*_j|^2 = d[j+1]/d[j] and center -c/d[j+1]
     c = 0
     for i in range(j + 1, len(x)):
@@ -500,6 +475,8 @@ def _descend(lam, d, bound, x, results, j, t_num, t_den) -> None:
                     results.append((tuple(x), bound - rem // new_den))
             else:
                 x[j] = xj
-                _descend(lam, d, bound, x, results, j - 1, rem, new_den)
+                _descend(lam, d, bound, x, results, j - 1, rem, new_den, top and xj == 0)
+            if top and direction == 0:
+                break  # x[j+1:] == 0: xj = 0, then the positive side only
             xj = xj - 1 if direction == 0 else xj + 1
     x[j] = 0

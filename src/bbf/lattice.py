@@ -131,12 +131,11 @@ class BBFLattice:
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia counts, computed exactly once per
-        lattice (the Gram is immutable)."""
+        lattice (the Gram is immutable, and nondegenerate by construction,
+        so there is no zero count)."""
         sig = self.__dict__.get("_signature")
         if sig is None:
-            p, n, z = inertia(self.gram)
-            assert z == 0  # nondegeneracy was enforced at construction
-            sig = (p, n)
+            sig = inertia(self.gram)[:2]
             object.__setattr__(self, "_signature", sig)
         return sig
 
@@ -288,15 +287,11 @@ def orientation_relation(
         raise DimensionMismatch("oriented subspaces have different dimensions")
     if not row_space_equal(s1.basis, s2.basis):
         return OrientationRelation.DIFFERENT_SUBSPACE
-    # express s1 rows in terms of s2 rows; sign of det decides orientation
-    change = []
-    for row in s1.basis:
-        coeffs = solve_in_row_space(s2.basis, row)
-        assert coeffs is not None
-        change.append(coeffs)
-    d = det_rational(change)
-    assert d != 0
-    if d > 0:
+    # express s1 rows in terms of s2 rows (they solve: the row spaces are
+    # equal); both bases are independent, so the change of basis is
+    # invertible and the sign of its determinant decides orientation
+    change = [solve_in_row_space(s2.basis, row) for row in s1.basis]
+    if det_rational(change) > 0:
         return OrientationRelation.SAME_ORIENTED_SUBSPACE
     return OrientationRelation.OPPOSITE_ORIENTATION
 

@@ -311,20 +311,21 @@ class _FiberFrame:
         orthogonal to x, and diagonalize the restriction.  At least two
         positive directions always survive in signature (3, k)."""
         lat = self.lattice
+        # three positive rows: inertia, which the constructor checked, is
+        # the sign count of this same diagonalization
         t, diag = diagonalize_symmetric(lat.gram)
         pos_rows = [row for row, dv in zip(t, diag) if dv > 0]
-        assert len(pos_rows) == 3
         stack = [list(self.x)] + [list(r) for r in pos_rows]
         reduced, pivots = rref(stack)
         span = [reduced[i] for i in range(len(pivots))]
-        # cut with the x-orthogonality constraint inside the span
+        # cut with the x-orthogonality constraint inside the span; x is a
+        # row of the stack, so it solves, and the constraint has a nonzero
+        # entry since it pairs with x's coefficients to q(x,x) > 0
         gram_v = gram_restrict(span, lat.gram)
         x_coeffs = solve_in_row_space(span, self.x)
-        assert x_coeffs is not None
         constraint = combine_rows(x_coeffs, gram_v)
         kern: list[list[Fraction]] = []
-        pivot = next((j for j, c in enumerate(constraint) if c != 0), None)
-        assert pivot is not None
+        pivot = next(j for j, c in enumerate(constraint) if c != 0)
         for j in range(len(span)):
             if j == pivot:
                 continue
@@ -340,7 +341,11 @@ class _FiberFrame:
             if dv > 0:
                 amb = combine_rows(trow, w_rows)
                 seeds.append(self.to_frame(clear_denominators(amb)))
-        assert len(seeds) >= 2, "complement of a positive class must contain a positive plane"
+        if len(seeds) < 2:
+            raise InvariantViolation(
+                "complement of a positive class must contain a positive plane; found %d "
+                "positive directions" % len(seeds)
+            )
         return seeds[0], seeds[1]
 
     # -- plane tests -----------------------------------------------------------
@@ -388,7 +393,10 @@ def sample_fiber(
 ) -> list[FiberSample]:
     """Draw random rational 2-planes in the complement of x (retrying until
     the span is positive), and mark each by the period-image test of the
-    3-space it spans with x.  Deterministic for a fixed seed."""
+    3-space it spans with x.  Deterministic for a fixed seed.
+    InvariantViolation for a negative count."""
+    if count < 0:
+        raise InvariantViolation("sample count must be non-negative, got %d" % count)
     norms = NormTargetSet.coerce(norms)
     frame = _FiberFrame(lattice, x, norms)
     rng = random.Random(seed)
@@ -443,7 +451,13 @@ def fiber_connectivity_experiment(
     out.  Composite step counts (e.g. 50 or 51) do produce exact hits on
     real data; the retry machinery still finds paths, but the hit counter
     records them.
+
+    InvariantViolation for negative pairs or fewer than one step.
     """
+    if pairs < 0:
+        raise InvariantViolation("pair count must be non-negative, got %d" % pairs)
+    if steps < 1:
+        raise InvariantViolation("step count must be positive, got %d" % steps)
     norms = NormTargetSet.coerce(norms)
     frame = _FiberFrame(lattice, x, norms)
     rng = random.Random(seed)

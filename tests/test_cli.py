@@ -210,6 +210,17 @@ class TestErrorsAndExitCodes:
             doc = json.loads(capsys.readouterr().out)
             assert doc["error"]["type"] == "DimensionMismatch"
 
+    def test_negative_counts_exit_1(self, capsys):
+        base = ["--name", "toy-U3", "--vector", "1,2,0,0,0,0", "--seed", "1"]
+        for argv in (
+            ["fiber-sample", "--count", "-1"] + base,
+            ["fiber-connectivity", "--pairs", "-1", "--steps", "5"] + base,
+            ["fiber-connectivity", "--pairs", "1", "--steps", "0"] + base,
+        ):
+            assert main(argv) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["error"]["type"] == "InvariantViolation"
+
     def test_usage_error_exit_2(self, capsys):
         code = main(["no-such-command"])
         assert code == 2

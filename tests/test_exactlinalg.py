@@ -1,3 +1,4 @@
+import ast
 import gc
 import os
 import random
@@ -232,7 +233,11 @@ def test_short_vectors_against_box_oracle(seed):
     # the search answers in the coordinates of the reduced basis, the rows of U
     u, lam, d = lll_gram(g)
     hits = [(combine_rows(x, u), norm) for x, norm in short_vectors(lam, d, bound)]
-    assert sorted(hits) == brute_short_vectors(g, bound)
+    # one vector of each +- pair: the hits and their negations are the
+    # oracle's vectors, and the hits are exactly half of them
+    oracle = brute_short_vectors(g, bound)
+    assert sorted(hits + [(tuple(-c for c in z), norm) for z, norm in hits]) == oracle
+    assert 2 * len(hits) == len(oracle)
 
 
 def test_short_vectors_leaves_no_reference_cycle():
@@ -243,7 +248,7 @@ def test_short_vectors_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert len(short_vectors(lam, d, 12)) == 86  # A3: 12 + 6 + 24 + 12 + 24 + 8
+        assert len(short_vectors(lam, d, 12)) == 43  # A3: (12 + 6 + 24 + 12 + 24 + 8) / 2
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -290,6 +295,18 @@ def test_checks_hold_under_python_O():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert done.stdout.split() == ["ValueError"] * 3
+
+
+def test_no_assert_in_package():
+    # -O strips asserts, so no decision of the package may rest on one
+    package = Path(__file__).resolve().parents[1] / "src" / "bbf"
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_e8_has_240_roots():

@@ -334,6 +334,15 @@ class TestFiber:
         )
         assert rep.pairs_tested == 0 and rep.paths_found == 0 and rep.planes_sampled == 0
 
+    def test_negative_counts_rejected(self, lat_u3):
+        x = (1, 2, 0, 0, 0, 0)
+        assert sample_fiber(lat_u3, x, 0, [-2], seed=1) == []
+        with pytest.raises(InvariantViolation):
+            sample_fiber(lat_u3, x, -1, [-2], seed=1)
+        for pairs, steps in ((-1, 12), (2, 0), (0, -1)):
+            with pytest.raises(InvariantViolation):
+                fiber_connectivity_experiment(lat_u3, x, pairs, steps, [-2], seed=3)
+
     def test_connectivity_deterministic(self, lat_u3):
         reps = [
             fiber_connectivity_experiment(
