@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .exactlinalg import (
     IntVec,
+    RatVec,
     Rational,
     clear_denominators,
     combine_rows,
@@ -201,22 +202,75 @@ def _require_hyperbolic(lattice: BBFLattice) -> None:
         )
 
 
+def _require_positive(lattice: BBFLattice, name: str, h: RatVec) -> None:
+    qh = lattice.q(h)
+    if qh <= 0:
+        raise InvariantViolation("q(%s,%s) must be positive, got %s" % (name, name, qh))
+
+
+def _segment_walls(
+    lattice: BBFLattice, u: RatVec, v: RatVec, norms: NormTargetSet
+) -> tuple[list[WallReport], list[WallReport], list[WallReport]]:
+    """(walls through u, walls through v, walls crossing the segment) from
+    the one search derived in separating_walls, for positive u, v with
+    q(u,v) >= 0 in a hyperbolic lattice (the callers check this); each list
+    sorted as its public caller returns it."""
+    gram, n = lattice.gram, lattice.rank
+    u_int, v_int = clear_denominators(u), clear_denominators(v)
+    gu, gv = mat_vec(gram, u_int), mat_vec(gram, v_int)
+    a, b, c = dot(u_int, gu), dot(v_int, gu), dot(v_int, gv)
+    big_m = norms.max_abs
+    phi_gram = [[2 * gu[i] * gu[j] - a * gram[i][j] for j in range(n)] for i in range(n)]
+    # phi(z) - 2 q(z,u')^2 = -a q(z,z) gives a candidate's norm exactly
+    scaled_norms = {a * m: m for m in norms}
+    # u = su u' and v = sv v' with su, sv > 0: the signs of q(z,u), q(z,v)
+    # are those of q(z,u'), q(z,v'), and the parameter is on the given segment
+    su, sv = Fraction(dot(u, gu)) / a, Fraction(dot(v, gu)) / b
+    # Fincke-Pohst answers with one x of each +- pair in the coordinates of
+    # the rows of U: q(z,u') = x . (U G u') for z = x . U, and so for v'
+    reduced, lam, d = lll_gram(phi_gram)
+    gu_red, gv_red = mat_vec(reduced, gu), mat_vec(reduced, gv)
+    through_u, through_v, crossing = [], [], []
+    for x, phi in short_vectors(lam, d, 2 * big_m * b * b // c - big_m * a):
+        qzu = dot(x, gu_red)
+        m = scaled_norms.get(2 * qzu * qzu - phi)
+        if m is None:
+            continue
+        qzv = dot(x, gv_red)
+        # z is primitive exactly when x is (U is unimodular)
+        if qzu * qzv > 0 or content(x) != 1:
+            continue
+        z = sign_normalize(combine_rows(x, reduced))
+        if qzu == 0:
+            through_u.append(WallReport(wall_class=z, norm=m))
+        if qzv == 0:
+            through_v.append(WallReport(wall_class=z, norm=m))
+        if qzu * qzv < 0:
+            t = su * qzu / (su * qzu - sv * qzv)
+            crossing.append(WallReport(wall_class=z, norm=m, crossing_parameter=t))
+    through_u.sort(key=lambda r: r.wall_class)
+    through_v.sort(key=lambda r: r.wall_class)
+    crossing.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
+    return through_u, through_v, crossing
+
+
 def wall_classes_through(
     lattice: BBFLattice,
     h: Sequence[Rational],
     norms: NormTargetSet | Iterable[int],
 ) -> list[WallReport]:
     """All primitive walls containing h: classes z with q(z,z) in the
-    target set and q(z,h) = 0.  Finite because h-perp is negative definite
-    in a hyperbolic lattice."""
+    target set and q(z,h) = 0, sorted by class.
+
+    It is the one search of separating_walls on the segment from h to h:
+    with h' the denominator-cleared h, such a z has
+    phi(z) = 2 q(z,h')^2 - q(h',h') q(z,z) = |q(z,z)| q(h',h'), so the
+    bound there, at u = v = h, is M q(h',h')."""
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)
     h = vec_rat(h)
-    qh = lattice.q(h)
-    if qh <= 0:
-        raise InvariantViolation("q(h,h) must be positive, got %s" % (qh,))
-    complement = lattice.orthogonal_complement_integral([h])
-    return walls_in_sublattice(lattice.gram, complement, norms)
+    _require_positive(lattice, "h", h)
+    return _segment_walls(lattice, h, h, norms)[0]
 
 
 def chamber_membership(
@@ -229,45 +283,6 @@ def chamber_membership(
     return ChamberMembership(interior=not walls, walls=tuple(walls))
 
 
-def _segment_bound(lattice: BBFLattice, u, v) -> Fraction:
-    """max over t in [0,1] of  q(u, w_t)^2 / q(w_t, w_t) - q(u, u)  for
-    w_t = u + t (v - u).
-
-    Where the bound comes from: a candidate wall class z crossing the
-    segment at w is orthogonal to w, and w-perp is negative definite in a
-    hyperbolic lattice.  Splitting u = a.w + u' with u' in w-perp and
-    applying Cauchy-Schwarz for the definite form -q on w-perp gives
-
-        q(z, u)^2 = q(z, u')^2 <= (-q(z,z)) (-q(u',u'))
-                  = |q(z,z)| (q(u,w)^2/q(w,w) - q(u,u)).
-
-    The right factor is what this function maximizes over the segment.  Its
-    derivative numerator is linear in t (the quadratic terms cancel), so the
-    exact maximum is attained at t = 0, t = 1 or the single rational
-    critical point.  The caller has checked q(u,u) > 0, q(v,v) > 0 and
-    q(u,v) >= 0, so q(w_t, w_t) > 0 on [0, 1] and no quotient divides by 0.
-    """
-    quu = Fraction(lattice.q(u))
-    quv = Fraction(lattice.inner(u, v))
-    diff = [b - a for a, b in zip(u, v)]
-    a0, a1 = quu, quv - quu                       # q(u, w_t) = a0 + a1 t
-    q0 = quu                                      # q(w_t, w_t) = q0 + q1 t + q2 t^2
-    q1 = 2 * (quv - quu)
-    q2 = Fraction(lattice.q(diff))
-
-    def value(t: Fraction) -> Fraction:
-        at = a0 + a1 * t
-        return at * at / (q0 + q1 * t + q2 * t * t) - quu
-
-    candidates = [Fraction(0), Fraction(1)]
-    denom = a1 * q1 - 2 * a0 * q2
-    if denom != 0:
-        tc = -(2 * a1 * q0 - a0 * q1) / denom
-        if 0 < tc < 1:
-            candidates.append(tc)
-    return max(value(t) for t in candidates)
-
-
 def separating_walls(
     lattice: BBFLattice,
     u: Sequence[Rational],
@@ -277,76 +292,50 @@ def separating_walls(
     """All walls strictly separating two chamber-interior positive vectors
     of the same positive-cone component, each with the rational parameter
     where the segment from u to v crosses it, sorted by that parameter.
+    OnWallError, carrying exactly the walls wall_classes_through reports,
+    when u (checked first) or v lies on a wall.
 
-    Candidates are enumerated with Fincke-Pohst on the positive-definite
-    form  phi(z) = 2 q(z,u)^2 / q(u,u) - q(z,z), bounded through the
-    segment maximum computed by _segment_bound; see there for the
-    derivation.  The search is complete: any separating z with
-    q(z,z) = m in the target set satisfies
-    phi(z) <= 2 |m| B_max / q(u,u) + |m|.
+    One Fincke-Pohst search answers both questions.  A wall z with
+    q(z,z) = m, |m| <= M = max |target|, meets the segment at
+    w_t = u + t (v - u) when q(z, w_t) = 0.  w_t-perp is negative definite;
+    splitting u = s w_t + u'' with u'' in it, Cauchy-Schwarz for -q gives
+
+        q(z, u)^2 = q(z, u'')^2 <= |m| B(t),
+        B(t) = q(u, w_t)^2 / q(w_t, w_t) - q(u, u).
+
+    With a, b, c = q(u,u), q(u,v), q(v,v),
+
+        B'(t) = 2 t (b^2 - a c) (a (1 - t) + b t) / q(w_t, w_t)^2,
+
+    and b^2 >= a c (reverse Cauchy-Schwarz for positive vectors in
+    signature (1, k)) and b >= 0 make it >= 0 on [0, 1]: B is largest at
+    t = 1, where B(1) = b^2 / c - a.  So every such z satisfies
+
+        phi(z) = 2 q(z,u)^2 - a q(z,z) <= 2 M b^2 / c - M a
+
+    for the majorant phi, positive definite since u-perp is negative
+    definite.  Both sides scale alike with u and not at all with v, so the
+    search runs on the denominator-cleared u', v' with the integer bound
+    2 M q(u',v')^2 // q(v',v') - M q(u',u').  Walls through u (t = 0) and
+    through v (t = 1) obey the same inequality: they are the candidates
+    with q(z,u') = 0 or q(z,v') = 0.
     """
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)
-    u = vec_rat(u)
-    v = vec_rat(v)
-    quu = lattice.q(u)
-    qvv = lattice.q(v)
-    if quu <= 0:
-        raise InvariantViolation("q(u,u) must be positive, got %s" % (quu,))
-    if qvv <= 0:
-        raise InvariantViolation("q(v,v) must be positive, got %s" % (qvv,))
+    u, v = vec_rat(u), vec_rat(v)
+    _require_positive(lattice, "u", u)
+    _require_positive(lattice, "v", v)
     quv = lattice.inner(u, v)
     if quv < 0:
         raise InvariantViolation(
             "endpoints lie in opposite positive-cone components (q(u,v) = %s)" % (quv,)
         )
-    walls_u = wall_classes_through(lattice, u, norms)
-    if walls_u:
-        raise OnWallError("endpoint u lies on walls %s" % ([w.wall_class for w in walls_u],), tuple(walls_u))
-    walls_v = wall_classes_through(lattice, v, norms)
-    if walls_v:
-        raise OnWallError("endpoint v lies on walls %s" % ([w.wall_class for w in walls_v],), tuple(walls_v))
-
-    big_m = norms.max_abs
-    b_max = _segment_bound(lattice, u, v)
-    # phi(z) = 2 q(z,u)^2/q(u,u) - q(z,z) is invariant under positive
-    # rescaling of u, so build its integral model q(u',u') * phi from the
-    # denominator-cleared u' and scale the bound to match
-    u_int = clear_denominators(u)
-    gu = mat_vec(lattice.gram, u_int)
-    quu_int = dot(u_int, gu)
-    n = lattice.rank
-    phi_gram = [
-        [2 * gu[i] * gu[j] - quu_int * lattice.gram[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    phi_bound = quu_int * (2 * big_m * b_max / Fraction(quu) + big_m)
-    # a candidate's form value phi = 2 q(z,u')^2 - q(u',u') q(z,z) gives
-    # q(z,z) exactly; u' is a positive multiple of u, so q(z,u') has the
-    # sign of q(z,u)
-    scaled_norms = {quu_int * m: m for m in norms}
-    # Fincke-Pohst answers with one x of each +- pair, in coordinates of the
-    # reduced basis, the rows of U: z = x . U has q(z,u') = x . (U G u')
-    # and q(z,v) = x . (U G v), so only kept walls are mapped to z
-    reduced, lam, d = lll_gram(phi_gram)
-    gu_red = mat_vec(reduced, gu)
-    gv_red = mat_vec(reduced, mat_vec(lattice.gram, v))
-
-    out = []
-    for x, phi in short_vectors(lam, d, int(phi_bound)):
-        qzu_int = dot(x, gu_red)
-        qzz = scaled_norms.get(2 * qzu_int * qzu_int - phi)
-        if qzz is None:
-            continue
-        qzv = dot(x, gv_red)
-        # z is primitive exactly when x is (U is unimodular)
-        if qzu_int * qzv >= 0 or content(x) != 1:
-            continue
-        z = combine_rows(x, reduced)
-        qzu = Fraction(lattice.inner(z, u))
-        out.append(WallReport(wall_class=sign_normalize(z), norm=qzz, crossing_parameter=qzu / (qzu - qzv)))
-    out.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
-    return out
+    walls_u, walls_v, crossing = _segment_walls(lattice, u, v, norms)
+    for name, walls in (("u", walls_u), ("v", walls_v)):
+        if walls:
+            message = "endpoint %s lies on walls %s" % (name, [w.wall_class for w in walls])
+            raise OnWallError(message, tuple(walls))
+    return crossing
 
 
 def same_kahler_chamber(

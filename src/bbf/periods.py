@@ -31,6 +31,7 @@ from .exactlinalg import (
     kernel_int,
     lll_gram,
     mat_vec,
+    primitive_part,
     rref,
     sign_normalize,
     solve_in_row_space,
@@ -262,9 +263,8 @@ class _FiberFrame:
     coordinates, and a deterministic pair of orthogonal positive seed
     vectors used to aim random plane draws into the (thin) positive cone.
 
-    Planes are tested in frame coordinates: plane_complement gives the
-    saturated complement of a plane, and walls_in_sublattice on gram_n
-    finds its wall classes, which to_ambient maps back.
+    Planes are tested in frame coordinates: plane_walls finds the wall
+    classes of a plane, which to_ambient maps back.
     """
 
     def __init__(self, lattice: BBFLattice, x: Sequence[Rational], norms: NormTargetSet):
@@ -360,12 +360,13 @@ class _FiberFrame:
         qvv = dot(v, mat_vec(self.gram_n, v))
         return quu * qvv - quv * quv > 0
 
-    def plane_complement(self, u: Sequence[int], v: Sequence[int]) -> list[IntVec]:
-        """Saturated basis, in frame coordinates, of the classes orthogonal
-        to x, u and v.  When plane_shape holds it is negative definite, and
-        walls_in_sublattice on it is empty exactly when the plane's 3-space
-        passes the period-image test."""
-        return kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)], canonical=False)
+    def plane_walls(self, u: Sequence[int], v: Sequence[int]) -> list[WallReport]:
+        """The wall classes, in frame coordinates, orthogonal to x, u and v:
+        walls_in_sublattice on the saturated complement of the plane, which
+        is negative definite when plane_shape holds.  Empty exactly when the
+        plane's 3-space passes the period-image test."""
+        complement = kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)], canonical=False)
+        return walls_in_sublattice(self.gram_n, complement, self.norms)
 
 
 def _sample_plane(frame: _FiberFrame, rng: random.Random, max_tries: int = 400):
@@ -407,9 +408,8 @@ def sample_fiber(
             lattice, (frame.to_ambient(u), frame.to_ambient(v))
         )
         point = FiberPoint(frame.x, plane)
-        walls = walls_in_sublattice(frame.gram_n, frame.plane_complement(u, v), frame.norms)
         reports = tuple(sorted(
-            (WallReport(sign_normalize(frame.to_ambient(w.wall_class)), w.norm) for w in walls),
+            (WallReport(sign_normalize(frame.to_ambient(w.wall_class)), w.norm) for w in frame.plane_walls(u, v)),
             key=lambda r: r.wall_class,
         ))
         out.append(FiberSample(point=point, accepted=not reports, witnesses=reports))
@@ -419,7 +419,7 @@ def sample_fiber(
 def _sample_accepted(frame: _FiberFrame, rng: random.Random, max_tries: int = 2000):
     for _ in range(max_tries):
         u, v = _sample_plane(frame, rng)
-        if not walls_in_sublattice(frame.gram_n, frame.plane_complement(u, v), frame.norms):
+        if not frame.plane_walls(u, v):
             return u, v
     raise InvariantViolation("could not sample an accepted fiber point")
 
@@ -480,14 +480,14 @@ def fiber_connectivity_experiment(
             good = True
             for k in range(1, steps):
                 s0, s1, s2 = (steps - k) ** 2, k * (steps - k), k * k
-                uk = list(clear_denominators([s0 * u0[i] + s1 * cu[i] + s2 * u1[i] for i in range(m)]))
-                vk = list(clear_denominators([s0 * v0[i] + s1 * cv[i] + s2 * v1[i] for i in range(m)]))
+                uk = primitive_part([s0 * u0[i] + s1 * cu[i] + s2 * u1[i] for i in range(m)])
+                vk = primitive_part([s0 * v0[i] + s1 * cv[i] + s2 * v1[i] for i in range(m)])
                 planes_sampled += 1
                 if not frame.plane_shape(uk, vk):
                     geo_rejects += 1
                     good = False
                     break
-                if walls_in_sublattice(frame.gram_n, frame.plane_complement(uk, vk), norms):
+                if frame.plane_walls(uk, vk):
                     wall_hits += 1
                     good = False
                     break

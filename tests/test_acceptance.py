@@ -139,12 +139,11 @@ def _proven_box_separating(lat, u, v, norms):
     """Brute-force separating-wall oracle over the coordinate box implied by
     the Cauchy-Schwarz segment bound (complete by the same argument as the
     production enumeration, but scanning naively and testing the defining
-    predicate directly)."""
-    from bbf.enumeration import _segment_bound
-
+    predicate directly).  The segment bound
+    B(t) = q(u,w_t)^2 / q(w_t,w_t) - q(u,u) is largest at t = 1."""
     big_m = max(-m for m in norms)
-    b_max = _segment_bound(lat, u, v)
     quu = Fraction(lat.q(u))
+    b_max = Fraction(lat.inner(u, v)) ** 2 / lat.q(v) - quu
     gu = mat_vec(lat.gram, u)
     n = lat.rank
     phi = [

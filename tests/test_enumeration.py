@@ -18,11 +18,47 @@ from bbf.enumeration import (
     walls_in_sublattice,
 )
 from bbf.exactlinalg import content, det_bareiss, sign_normalize
-from bbf.lattice import DimensionMismatch, InvariantViolation, SignatureError, diagonal_matrix
+from bbf.lattice import (
+    BBFLattice,
+    DimensionMismatch,
+    InvariantViolation,
+    SignatureError,
+    diagonal_matrix,
+    direct_sum,
+    e8_matrix,
+    hyperbolic_plane,
+)
 
 E1F1 = (1, 1, 0, 0, 0, 0)
 E2F2 = (0, 0, 1, 1, 0, 0)
 E3F3 = (0, 0, 0, 0, 1, 1)
+
+HYPERBOLIC = {
+    "U+<-2>": direct_sum(hyperbolic_plane(), [[-2]]),
+    "U+<-4>": direct_sum(hyperbolic_plane(), [[-4]]),
+    "U+<-6>": direct_sum(hyperbolic_plane(), [[-6]]),
+    "U+E8(-1)": direct_sum(hyperbolic_plane(), e8_matrix(-1)),
+}
+
+
+def random_positive(lat, rng, rational):
+    """A class with q(h,h) > 0: coordinates up to 6, but up to 1 on E8(-1),
+    which is mostly negative; divided by a random denominator when
+    rational."""
+    tail = 6 if lat.rank == 3 else 1
+    while True:
+        h = [rng.randint(-6, 6), rng.randint(-6, 6)]
+        h += [rng.randint(-tail, tail) for _ in range(lat.rank - 2)]
+        if lat.q(h) > 0:
+            break
+    den = rng.randint(2, 6) if rational else 1
+    return tuple(Fraction(x, den) for x in h)
+
+
+def complement_route(lat, h, norms):
+    """The walls through h from the saturated h-perp: an independent
+    enumeration on a lattice of one rank less."""
+    return walls_in_sublattice(lat.gram, lat.orthogonal_complement_integral([h]), NormTargetSet(norms))
 
 
 def random_negative_definite(rng, max_rank=4, max_entry=10):
@@ -227,20 +263,33 @@ class TestWallsThrough:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
-    def test_box_oracle_on_random_vectors(self, lat_hyp, seed):
+    def test_box_oracle_on_random_vectors(self, seed):
+        # U + <-2k> for k = 1, 2, 3, integral or rational h; against the
+        # coordinate box and, exactly, against the complement route
         rng = random.Random(seed)
-        while True:
-            h = tuple(rng.randint(-6, 6) for _ in range(3))
-            if lat_hyp.q(h) > 0:
-                break
-        got = {(w.wall_class, w.norm) for w in wall_classes_through(lat_hyp, h, [-2, -4])}
+        lat = BBFLattice(HYPERBOLIC["U+<-%d>" % (2 * rng.randint(1, 3))])
+        h = random_positive(lat, rng, rational=rng.random() < 0.5)
+        walls = wall_classes_through(lat, h, [-2, -4])
+        assert walls == complement_route(lat, h, [-2, -4])
+        got = {(w.wall_class, w.norm) for w in walls}
         expect = set()
         for z in itertools.product(range(-14, 15), repeat=3):
             if not any(z) or content(z) != 1:
                 continue
-            if lat_hyp.q(z) in (-2, -4) and lat_hyp.inner(z, h) == 0:
-                expect.add((sign_normalize(z), lat_hyp.q(z)))
+            if lat.q(z) in (-2, -4) and lat.inner(z, h) == 0:
+                expect.add((sign_normalize(z), lat.q(z)))
         assert got == expect
+
+    def test_complement_route_on_u_plus_e8(self):
+        lat = BBFLattice(HYPERBOLIC["U+E8(-1)"])
+        rng = random.Random(8)
+        hits = 0
+        for trial in range(20):
+            h = random_positive(lat, rng, rational=trial % 2 == 1)
+            walls = wall_classes_through(lat, h, [-2, -4])
+            assert walls == complement_route(lat, h, [-2, -4])
+            hits += bool(walls)
+        assert hits  # small classes of U + E8(-1) lie on roots
 
 
 class TestChamberMembership:
@@ -287,6 +336,42 @@ class TestSeparatingWalls:
         with pytest.raises(OnWallError) as err:
             separating_walls(lat_hyp, (3, 4, 1), (1, 1, 0), [-2])
         assert {w.wall_class for w in err.value.walls} == {(0, 0, 1), (1, -1, 0)}
+        assert err.value.walls == tuple(wall_classes_through(lat_hyp, (1, 1, 0), [-2]))
+
+    @pytest.mark.parametrize(
+        "u, v, on",
+        [
+            ((1, 1, 0), (3, 4, 1), "u"),
+            ((1, 1, 0), (1, 2, 1), "u"),  # both endpoints on walls: u first
+            ((1, 2, 1), (1, 1, 0), "u"),
+            ((3, 4, 1), (Fraction(1, 3), Fraction(1, 3), 0), "v"),
+            ((Fraction(3, 2), Fraction(3, 2), 0), (3, 4, 1), "u"),
+        ],
+    )
+    def test_endpoint_walls_are_walls_through(self, lat_hyp, u, v, on):
+        with pytest.raises(OnWallError) as err:
+            separating_walls(lat_hyp, u, v, [-2, -4])
+        endpoint = u if on == "u" else v
+        assert err.value.walls == tuple(wall_classes_through(lat_hyp, endpoint, [-2, -4]))
+        assert str(err.value).startswith("endpoint %s lies on walls" % on)
+
+    def test_one_search_per_call(self, lat_hyp, monkeypatch):
+        # the endpoint walls are read off the segment search's candidates
+        import bbf.enumeration as enumeration
+
+        calls = []
+        search = enumeration.short_vectors
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(enumeration, "short_vectors", counted)
+        separating_walls(lat_hyp, (3, 4, 1), (4, 3, -1), [-2])
+        assert len(calls) == 1
+        with pytest.raises(OnWallError):
+            separating_walls(lat_hyp, (3, 4, 1), (1, 1, 0), [-2])
+        assert len(calls) == 2
 
     def test_non_positive_endpoint(self, lat_hyp):
         with pytest.raises(InvariantViolation):
@@ -358,6 +443,30 @@ class TestSeparatingWalls:
         # (rational) endpoints, not to their rescaled integral models
         got = {w.wall_class: w.crossing_parameter for w in scaled}
         assert got == brute_separating(lat_hyp, su, sv, (-2,), box=12)
+
+
+@pytest.mark.parametrize("name", sorted(HYPERBOLIC))
+def test_segment_bound_is_largest_at_the_far_endpoint(name):
+    # B(t) = q(u,w_t)^2 / q(w_t,w_t) - q(u,u) on w_t = u + t (v - u), the
+    # Cauchy-Schwarz bound of separating_walls, straight from its definition:
+    # no grid point exceeds the closed form B(1) the search uses
+    lat = BBFLattice(HYPERBOLIC[name])
+    rng = random.Random(name)
+    grid = [Fraction(i, 36) for i in range(37)]
+    for trial in range(30):
+        u = random_positive(lat, rng, rational=trial % 2 == 1)
+        v = random_positive(lat, rng, rational=trial % 3 == 1)
+        if lat.inner(u, v) < 0:
+            v = tuple(-x for x in v)
+
+        def bound(t):
+            w = [a + t * (b - a) for a, b in zip(u, v)]
+            return Fraction(lat.inner(u, w)) ** 2 / lat.q(w) - lat.q(u)
+
+        top = bound(Fraction(1))
+        assert top == Fraction(lat.inner(u, v)) ** 2 / lat.q(v) - lat.q(u)
+        assert bound(Fraction(0)) == 0
+        assert all(bound(t) <= top for t in grid)
 
 
 class TestSameChamber:
