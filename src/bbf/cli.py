@@ -84,22 +84,25 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError("cannot parse %r as a rational" % text) from exc
 
 
+def _fields(text: str, sep: str, what: str) -> list[str]:
+    """The sep-separated fields of text; UsageError for an empty field
+    (an empty text included), which would otherwise shift every later one."""
+    fields = text.split(sep)
+    if any(f.strip() == "" for f in fields):
+        raise UsageError("empty field in %s %r" % (what, text))
+    return fields
+
+
 def parse_vector(text: str) -> tuple[Rational, ...]:
-    parts = [p for p in text.strip().split(",") if p.strip() != ""]
-    if not parts:
-        raise UsageError("empty vector")
     out = []
-    for p in parts:
+    for p in _fields(text, ",", "vector"):
         f = parse_rational(p)
         out.append(int(f) if f.denominator == 1 else f)
     return tuple(out)
 
 
 def parse_matrix(text: str) -> list[tuple[Rational, ...]]:
-    rows = [r for r in text.strip().split(";") if r.strip() != ""]
-    if not rows:
-        raise UsageError("empty matrix")
-    parsed = [parse_vector(r) for r in rows]
+    parsed = [parse_vector(r) for r in _fields(text, ";", "matrix")]
     if len({len(r) for r in parsed}) != 1:
         raise UsageError("matrix rows have inconsistent lengths")
     return parsed
@@ -117,9 +120,7 @@ def parse_int_matrix(text: str) -> list[list[int]]:
 
 def parse_norms(text: str) -> NormTargetSet:
     vals = []
-    for p in text.strip().split(","):
-        if p.strip() == "":
-            continue
+    for p in _fields(text, ",", "norm list"):
         f = parse_rational(p)
         if f.denominator != 1:
             raise UsageError("norm targets must be integers, got %r" % p)

@@ -38,6 +38,18 @@ from .lattice import (
 )
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; InvariantViolation unless it equals one, so that a
+    norm like -5/2 is never truncated to -2."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise InvariantViolation("%s must be an integer, got %r" % (what, value))
+    return n
+
+
 @dataclass(frozen=True)
 class NormTargetSet:
     """The admissible self-intersection numbers for wall classes: a finite,
@@ -46,7 +58,7 @@ class NormTargetSet:
     norms: tuple[int, ...]
 
     def __init__(self, norms: Iterable[int]):
-        values = tuple(sorted(set(int(x) for x in norms)))
+        values = tuple(sorted(set(_integer(x, "norm target") for x in norms)))
         if not values:
             raise InvariantViolation("norm target set must be non-empty")
         if values[-1] >= 0:
@@ -126,7 +138,7 @@ def enumerate_vectors_of_norm(
     Integer Grams only (TypeError on any other entry)."""
     if not is_symmetric(gram):
         raise InvariantViolation("gram matrix must be symmetric")
-    target = int(target)
+    target = _integer(target, "target norm")
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
     u, table = _negative_definite_search(gram, [target])

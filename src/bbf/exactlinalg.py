@@ -230,34 +230,6 @@ def rank(m: Sequence[Sequence[Rational]]) -> int:
     return len(rref(m)[1])
 
 
-def row_space_equal(a: Sequence[Sequence[Rational]], b: Sequence[Sequence[Rational]]) -> bool:
-    ra, pa = rref(a)
-    rb, pb = rref(b)
-    return pa == pb and ra[:len(pa)] == rb[:len(pb)]
-
-
-def solve_in_row_space(basis: Sequence[Sequence[Rational]], target: Sequence[Rational]) -> list[Fraction] | None:
-    """Coefficients c with c . basis == target, or None if target is outside."""
-    ncols = len(target)
-    aug = [[Fraction(x) for x in row] + [Fraction(0)] * len(basis) for row in basis]
-    for i in range(len(basis)):
-        aug[i][ncols + i] = Fraction(1)
-    red, pivots = rref(aug)
-    coeffs = [Fraction(0)] * len(basis)
-    resid = [Fraction(x) for x in target]
-    for i, p in enumerate(pivots):
-        if p >= ncols:
-            continue
-        if resid[p] != 0:
-            f = resid[p] / red[i][p]
-            resid = [x - f * y for x, y in zip(resid, red[i][:ncols])]
-            for j in range(len(basis)):
-                coeffs[j] += f * red[i][ncols + j]
-    if any(x != 0 for x in resid):
-        return None
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form and integer kernels
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from .exactlinalg import (
     kernel_rational_constraints,
     mat_vec,
     rank as mat_rank,
-    row_space_equal,
-    solve_in_row_space,
     vec_rat,
 )
 
@@ -285,13 +283,13 @@ def orientation_relation(
         raise DimensionMismatch("oriented subspaces live in different lattices")
     if s1.dim != s2.dim:
         raise DimensionMismatch("oriented subspaces have different dimensions")
-    if not row_space_equal(s1.basis, s2.basis):
+    if mat_rank(s1.basis + s2.basis) != s1.dim:
         return OrientationRelation.DIFFERENT_SUBSPACE
-    # express s1 rows in terms of s2 rows (they solve: the row spaces are
-    # equal); both bases are independent, so the change of basis is
-    # invertible and the sign of its determinant decides orientation
-    change = [solve_in_row_space(s2.basis, row) for row in s1.basis]
-    if det_rational(change) > 0:
+    # on the common subspace s1 = C . s2, so the mixed Gram s1 . G . s2^T is
+    # C . (s2 . G . s2^T); the second factor has positive determinant since
+    # s2 is positive definite, so det C has the sign of the mixed Gram's
+    g2 = [mat_vec(s2.lattice.gram, row) for row in s2.basis]
+    if det_rational([[dot(row, g) for g in g2] for row in s1.basis]) > 0:
         return OrientationRelation.SAME_ORIENTED_SUBSPACE
     return OrientationRelation.OPPOSITE_ORIENTATION
 

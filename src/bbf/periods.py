@@ -34,7 +34,6 @@ from .exactlinalg import (
     primitive_part,
     rref,
     sign_normalize,
-    solve_in_row_space,
     vec_rat,
 )
 from .lattice import (
@@ -165,24 +164,20 @@ def _cyclic_orthogonal_frame(
 ) -> tuple[IntVec, IntVec]:
     """Primitive integer basis (p1, p2) of the Euclidean orthogonal of d in
     3-space, oriented so that (d, p1, p2) is positively oriented, and
-    reducing to the literal cyclic axes when d is a coordinate direction."""
+    reducing to the literal cyclic axes when d is a coordinate direction:
+    p1 is e_{j+1} made orthogonal to d, and p2 = d x p1."""
     j = next(i for i in range(3) if d[i] != 0)
     nn = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-
-    def unit(k: int) -> list[Fraction]:
-        return [Fraction(1) if i == k else Fraction(0) for i in range(3)]
-
-    e1 = unit((j + 1) % 3)
-    e2 = unit((j + 2) % 3)
-    p1 = [a - (d[(j + 1) % 3] / nn) * b for a, b in zip(e1, d)]
-    dp = sum(a * b for a, b in zip(e2, p1))
-    pp = sum(a * a for a in p1)
-    p2 = [a - (d[(j + 2) % 3] / nn) * b - (dp / pp) * c for a, b, c in zip(e2, d, p1)]
-    p1i = clear_denominators(p1)
-    p2i = clear_denominators(p2)
-    if d[j] < 0:
-        p1i, p2i = p2i, p1i
-    return p1i, p2i
+    k = (j + 1) % 3
+    p1 = clear_denominators([(nn if i == k else 0) - d[k] * d[i] for i in range(3)])
+    p2 = clear_denominators([
+        d[1] * p1[2] - d[2] * p1[1],
+        d[2] * p1[0] - d[0] * p1[2],
+        d[0] * p1[1] - d[1] * p1[0],
+    ])
+    if d[j] > 0:
+        return p1, p2
+    return tuple(-c for c in p2), p1
 
 
 def twistor_member(triple: HKTripleClasses, direction: TwistorDirection) -> TwistorFiber:
@@ -296,12 +291,6 @@ class _FiberFrame:
     def to_ambient(self, coeffs: Sequence[int]) -> IntVec:
         return combine_rows(coeffs, self.basis)
 
-    def to_frame(self, vec: Sequence[Rational]) -> list[int]:
-        sol = solve_in_row_space(self.basis, vec)
-        if sol is None or any(c.denominator != 1 for c in sol):
-            raise InvariantViolation("vector is not an integral class orthogonal to x")
-        return [int(c) for c in sol]
-
     # -- seed construction ----------------------------------------------------
 
     def _seed_pair(self) -> tuple[list[int], list[int]]:
@@ -309,7 +298,11 @@ class _FiberFrame:
         found by exact diagonalization: take a positive-definite 3-space of
         the ambient form, cut the span of it and x with the hyperplane
         orthogonal to x, and diagonalize the restriction.  At least two
-        positive directions always survive in signature (3, k)."""
+        positive directions always survive in signature (3, k).
+
+        Each seed a is placed in the frame by the Gram: its coordinates c
+        solve c . gram_n = basis . G . a, and are integral because the
+        frame is saturated (InvariantViolation otherwise)."""
         lat = self.lattice
         # three positive rows: inertia, which the constructor checked, is
         # the sign count of this same diagonalization
@@ -317,36 +310,32 @@ class _FiberFrame:
         pos_rows = [row for row, dv in zip(t, diag) if dv > 0]
         stack = [list(self.x)] + [list(r) for r in pos_rows]
         reduced, pivots = rref(stack)
-        span = [reduced[i] for i in range(len(pivots))]
-        # cut with the x-orthogonality constraint inside the span; x is a
-        # row of the stack, so it solves, and the constraint has a nonzero
-        # entry since it pairs with x's coefficients to q(x,x) > 0
-        gram_v = gram_restrict(span, lat.gram)
-        x_coeffs = solve_in_row_space(span, self.x)
-        constraint = combine_rows(x_coeffs, gram_v)
-        kern: list[list[Fraction]] = []
-        pivot = next(j for j, c in enumerate(constraint) if c != 0)
-        for j in range(len(span)):
-            if j == pivot:
-                continue
-            vec = [Fraction(0)] * len(span)
-            vec[j] = Fraction(1)
-            vec[pivot] = -constraint[j] / constraint[pivot]
-            kern.append(vec)
-        w_rows = [combine_rows(k, span) for k in kern]
-        gw = gram_restrict(w_rows, lat.gram)
-        tw, dw = diagonalize_symmetric(gw)
-        seeds = []
-        for trow, dv in zip(tw, dw):
-            if dv > 0:
-                amb = combine_rows(trow, w_rows)
-                seeds.append(self.to_frame(clear_denominators(amb)))
+        span = reduced[:len(pivots)]
+        # cut_j = q(span_j, x); x is in the span, so some cut_j is nonzero
+        gx = mat_vec(lat.gram, self.x)
+        cut = [dot(row, gx) for row in span]
+        p = next(j for j, c in enumerate(cut) if c != 0)
+        w_rows = [
+            [a - (cut[j] / cut[p]) * b for a, b in zip(span[j], span[p])]
+            for j in range(len(span)) if j != p
+        ]
+        tw, dw = diagonalize_symmetric(gram_restrict(w_rows, lat.gram))
+        seeds = [clear_denominators(combine_rows(trow, w_rows)) for trow, dv in zip(tw, dw) if dv > 0]
         if len(seeds) < 2:
             raise InvariantViolation(
                 "complement of a positive class must contain a positive plane; found %d "
                 "positive directions" % len(seeds)
             )
-        return seeds[0], seeds[1]
+        # c = gram_n^-1 . r = ((T . r) / D) . T for T . gram_n . T^T = D
+        tn, dn = diagonalize_symmetric(self.gram_n)
+        placed = []
+        for a in seeds:
+            r = mat_vec(self.basis, mat_vec(lat.gram, a))
+            c = combine_rows([dot(trow, r) / dv for trow, dv in zip(tn, dn)], tn)
+            if any(ci.denominator != 1 for ci in c) or self.to_ambient(c) != a:
+                raise InvariantViolation("seed %s is not an integral class orthogonal to x" % (a,))
+            placed.append([int(ci) for ci in c])
+        return placed[0], placed[1]
 
     # -- plane tests -----------------------------------------------------------
 
@@ -369,13 +358,19 @@ class _FiberFrame:
         return walls_in_sublattice(self.gram_n, complement, self.norms)
 
 
-def _sample_plane(frame: _FiberFrame, rng: random.Random, max_tries: int = 400):
+# draw budgets of the fiber samplers, and the path attempts per pair
+_PLANE_TRIES = 400
+_ACCEPT_TRIES = 2000
+_PATH_RETRIES = 30
+
+
+def _sample_plane(frame: _FiberFrame, rng: random.Random):
     """Draw integer plane bases near the positive seeds until the span is
     positive definite; importance sampling is needed because the positive
     cone is a thin cap of the full coordinate box."""
     p1, p2 = frame.seeds
     m = frame.dim
-    for _ in range(max_tries):
+    for _ in range(_PLANE_TRIES):
         a1, a2 = rng.randint(2, 4), rng.randint(0, 1)
         b1, b2 = rng.randint(2, 4), rng.randint(0, 1)
         u = [a1 * p1[i] + a2 * p2[i] + rng.randint(-2, 2) for i in range(m)]
@@ -416,8 +411,8 @@ def sample_fiber(
     return out
 
 
-def _sample_accepted(frame: _FiberFrame, rng: random.Random, max_tries: int = 2000):
-    for _ in range(max_tries):
+def _sample_accepted(frame: _FiberFrame, rng: random.Random):
+    for _ in range(_ACCEPT_TRIES):
         u, v = _sample_plane(frame, rng)
         if not frame.plane_walls(u, v):
             return u, v
@@ -431,7 +426,6 @@ def fiber_connectivity_experiment(
     steps: int,
     norms: NormTargetSet | Iterable[int],
     seed: int,
-    retry_budget: int = 30,
 ) -> ConnectivityReport:
     """Empirical connectivity of the accepted locus: for each pair of
     accepted fiber points, walk a discretized path of rational intermediate
@@ -467,7 +461,7 @@ def fiber_connectivity_experiment(
         u0, v0 = _sample_accepted(frame, rng)
         u1, v1 = _sample_accepted(frame, rng)
         found = False
-        for attempt in range(retry_budget):
+        for attempt in range(_PATH_RETRIES):
             if attempt == 0:
                 du = dv = [0] * m
             else:

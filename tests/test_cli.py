@@ -221,6 +221,17 @@ class TestErrorsAndExitCodes:
             doc = json.loads(capsys.readouterr().out)
             assert doc["error"]["type"] == "InvariantViolation"
 
+    def test_empty_field_exit_2(self, capsys):
+        # an empty field must not be dropped: "1,,1,0,0,0,0" is not the
+        # 6-vector (1, 1, 0, 0, 0, 0)
+        for argv in (
+            ["symp-image", "--name", "toy-U3", "--vector", "1,,1,0,0,0,0"],
+            ["signature", "--gram", "1,0;;0,-1"],
+            ["walls-through", "--gram", HYP, "--vector", "1,1,0", "--norms", "-2,"],
+        ):
+            assert main(argv) == 2
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "usage"
+
     def test_usage_error_exit_2(self, capsys):
         code = main(["no-such-command"])
         assert code == 2

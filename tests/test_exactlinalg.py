@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbf.enumeration import NormTargetSet, enumerate_vectors_of_norm
 from bbf.exactlinalg import (
     clear_denominators,
     combine_rows,
@@ -29,6 +30,7 @@ from bbf.exactlinalg import (
     sign_normalize,
     xgcd,
 )
+from bbf.lattice import InvariantViolation, e8_matrix
 
 small_int = st.integers(min_value=-8, max_value=8)
 
@@ -269,6 +271,12 @@ def test_invalid_input_raises_typed_errors():
     # integer Grams only: a Fraction entry must not be truncated silently
     with pytest.raises(TypeError):
         lll_gram([[Fraction(1, 2), 0], [0, 1]])
+    # nor a norm target that is not an integer
+    for bad in (Fraction(-5, 2), -2.7, "abc"):
+        with pytest.raises(InvariantViolation):
+            NormTargetSet([bad])
+    with pytest.raises(InvariantViolation):
+        enumerate_vectors_of_norm(e8_matrix(-1), Fraction(-5, 2))
 
 
 OPTIMIZED_CHECKS = """
@@ -310,7 +318,4 @@ def test_no_assert_in_package():
 
 
 def test_e8_has_240_roots():
-    from bbf.enumeration import enumerate_vectors_of_norm
-    from bbf.lattice import e8_matrix
-
     assert len(enumerate_vectors_of_norm(e8_matrix(-1), -2)) == 240

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from bbf.exactlinalg import det_bareiss, gram_restrict, hnf
+from bbf.exactlinalg import combine_rows, det_bareiss, det_rational, gram_restrict, hnf
 from bbf.lattice import (
     BBFLattice,
     DegenerateGram,
@@ -232,6 +232,42 @@ class TestOrientation:
     def test_reversed(self, lat_u3):
         w1 = OrientedPositiveSubspace(lat_u3, (X, Y))
         assert orientation_relation(w1, w1.reversed()) is OrientationRelation.OPPOSITE_ORIENTATION
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.fractions(Fraction(-9, 10), Fraction(9, 10), max_denominator=10), min_size=3, max_size=3),
+        st.lists(st.fractions(-5, 5, max_denominator=7), min_size=9, max_size=9),
+    )
+    def test_change_of_basis_sign(self, lat_u3, dim, tilt, entries):
+        # (1 + t, 1 - t) in block b has norm 2 (1 - t^2) > 0 and the blocks
+        # are orthogonal, so the first dim blocks span a positive subspace
+        rows = []
+        for b in range(dim):
+            row = [0] * 6
+            row[2 * b], row[2 * b + 1] = 1 + tilt[b], 1 - tilt[b]
+            rows.append(row)
+        change = [entries[dim * i:dim * (i + 1)] for i in range(dim)]
+        det = det_rational(change)
+        assume(det != 0)
+        s1 = OrientedPositiveSubspace(lat_u3, rows)
+        s2 = OrientedPositiveSubspace(lat_u3, [combine_rows(c, rows) for c in change])
+        expected = (
+            OrientationRelation.SAME_ORIENTED_SUBSPACE if det > 0
+            else OrientationRelation.OPPOSITE_ORIENTATION
+        )
+        assert orientation_relation(s1, s2) is expected
+        assert orientation_relation(s2, s1) is expected
+        # move one row off the subspace: along a positive vector of the
+        # unused block for a plane, along a negative one of block 0 otherwise
+        off = (0, 0, 0, 0, 1, 1) if dim == 2 else (1, -1, 0, 0, 0, 0)
+        moved = [list(r) for r in s2.basis]
+        moved[0] = [a + Fraction(1, 100) * b for a, b in zip(moved[0], off)]
+        try:
+            s3 = OrientedPositiveSubspace(lat_u3, moved)
+        except InvariantViolation:
+            assume(False)
+        assert orientation_relation(s1, s3) is OrientationRelation.DIFFERENT_SUBSPACE
 
 
 class TestPeriodLine:
