@@ -37,7 +37,6 @@ from .lattice import (
     OrientedPositiveSubspace,
     PeriodLine,
     PeriodLineBasis,
-    RationalSubspace,
     SignatureError,
     definiteness,
     diagonal_matrix,

@@ -25,6 +25,11 @@ class CatalogError(LatticeError):
 ENTRY_KEYS = ("name", "b2", "gram", "fujiki_c", "half_dim_n", "mbm_norms", "even", "provenance")
 
 
+def _is_int(x: Any) -> bool:
+    """Whether x is a JSON integer: true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -88,12 +93,12 @@ def validate_entry(data: dict[str, Any] | DeformationTypeSpec) -> list[CheckResu
     b2 = data["b2"]
     gram = data["gram"]
     ok_shape = (
-        isinstance(b2, int)
+        _is_int(b2)
         and b2 > 0
         and isinstance(gram, (list, tuple))
         and len(gram) == b2
         and all(isinstance(r, (list, tuple)) and len(r) == b2 for r in gram)
-        and all(isinstance(x, int) for r in gram for x in r)
+        and all(_is_int(x) for r in gram for x in r)
     )
     if not check("square", ok_shape, "gram must be a b2 x b2 integer matrix (b2 = %s)" % (b2,)):
         return checks
@@ -117,22 +122,25 @@ def validate_entry(data: dict[str, Any] | DeformationTypeSpec) -> list[CheckResu
 
     check(
         "fujiki-positive",
-        isinstance(data["fujiki_c"], int) and data["fujiki_c"] > 0,
+        _is_int(data["fujiki_c"]) and data["fujiki_c"] > 0,
         "fujiki_c = %s must be a positive integer" % (data["fujiki_c"],),
     )
     check(
         "half-dim-positive",
-        isinstance(data["half_dim_n"], int) and data["half_dim_n"] > 0,
+        _is_int(data["half_dim_n"]) and data["half_dim_n"] > 0,
         "half_dim_n = %s must be a positive integer" % (data["half_dim_n"],),
     )
     norms = data["mbm_norms"]
     norms_ok = (
         isinstance(norms, (list, tuple))
         and len(norms) > 0
-        and all(isinstance(t, int) and t < 0 for t in norms)
+        and all(_is_int(t) and t < 0 for t in norms)
     )
     check("norms-negative", norms_ok, "mbm_norms = %s must be non-empty, all negative" % (norms,))
-    if ok_shape and data.get("even"):
+    even = data["even"]
+    if not isinstance(even, bool):
+        check("evenness", False, "even = %r must be a JSON boolean" % (even,))
+    elif ok_shape and even:
         odd = [i for i in range(b2) if rows[i][i] % 2]
         check(
             "evenness",

@@ -32,22 +32,10 @@ from .lattice import (
     BBFLattice,
     Definiteness,
     InvariantViolation,
-    RationalSubspace,
     SignatureError,
+    _integer,
     definiteness,
 )
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; InvariantViolation unless it equals one, so that a
-    norm like -5/2 is never truncated to -2."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != value:
-        raise InvariantViolation("%s must be an integer, got %r" % (what, value))
-    return n
 
 
 @dataclass(frozen=True)
@@ -176,19 +164,21 @@ def walls_in_sublattice(
 
 def mbm_candidates_in_complement(
     lattice: BBFLattice,
-    subspace: RationalSubspace | Sequence[Sequence[Rational]],
+    subspace: Sequence[Sequence[Rational]],
     norms: NormTargetSet | Iterable[int],
 ) -> list[WallReport]:
-    """All primitive sign-normalized integral classes orthogonal to the
-    given positive-definite subspace whose norm lies in the target set.
+    """All primitive sign-normalized integral classes with norm in the
+    target set that are orthogonal to the positive-definite subspace
+    spanned by the given rows.
 
     Requires the ambient signature to be (dim S, rank - dim S) so the
-    complement is negative definite and the search finite.
+    complement is negative definite and the search finite.  Rows that
+    span a positive-definite space are independent, and the walls do not
+    depend on the basis of the complement, so the complement is searched
+    as the kernel leaves it.
     """
     norms = NormTargetSet.coerce(norms)
-    basis = subspace.basis if isinstance(subspace, RationalSubspace) else tuple(
-        vec_rat(r) for r in subspace
-    )
+    basis = [vec_rat(r) for r in subspace]
     sub_gram = lattice.restricted_gram(basis)
     if definiteness(sub_gram) is not Definiteness.POSITIVE_DEFINITE:
         raise InvariantViolation(
@@ -201,8 +191,7 @@ def mbm_candidates_in_complement(
             "complement of a %d-dimensional positive subspace in signature "
             "(%d, %d) is not negative definite" % (len(basis), p, nneg)
         )
-    complement = lattice.orthogonal_complement_integral(basis)
-    return walls_in_sublattice(lattice.gram, complement, norms)
+    return walls_in_sublattice(lattice.gram, lattice._complement(basis), norms)
 
 
 def _require_hyperbolic(lattice: BBFLattice) -> None:

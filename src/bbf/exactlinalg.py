@@ -303,13 +303,14 @@ def hnf_with_transform(m: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[I
     return h, [vec_int(row) for row in u]
 
 
-def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: bool = True) -> list[IntVec]:
+def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None) -> list[IntVec]:
     """Basis of the saturated integer kernel {z : m . z == 0} of an integer
     constraint matrix (each row of m is one linear condition).
 
     The result spans exactly the integer points of the rational kernel, so
-    it is automatically a primitive (saturated) sublattice.  With
-    canonical=True the basis is returned in row Hermite normal form.
+    it is automatically a primitive (saturated) sublattice.  The basis is
+    the one the elimination leaves, not a normal form: callers that print
+    it apply hnf.
     """
     if ncols is None:
         if not m:
@@ -318,16 +319,7 @@ def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None, canonical: 
     # the rows of u with u . m^T == 0, the zero rows of the HNF, span the
     # kernel (all of u when m has no rows)
     h, u = hnf_with_transform([[row[j] for row in m] for j in range(ncols)])
-    kernel = u[len(h):]
-    if canonical:
-        kernel = hnf(kernel)
-    return kernel
-
-
-def kernel_rational_constraints(constraints: Sequence[Sequence[Rational]], ncols: int) -> list[IntVec]:
-    """Saturated integer kernel of rational linear conditions, in row
-    Hermite normal form."""
-    return kernel_int([_integral_multiple(row)[1] for row in constraints], ncols)
+    return u[len(h):]
 
 
 # ---------------------------------------------------------------------------

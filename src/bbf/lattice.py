@@ -17,14 +17,15 @@ from .exactlinalg import (
     IntVec,
     RatVec,
     Rational,
+    clear_denominators,
     det_bareiss,
     det_rational,
     dot,
     gram_restrict,
+    hnf,
     inertia,
     is_symmetric,
     kernel_int,
-    kernel_rational_constraints,
     mat_vec,
     rank as mat_rank,
     vec_rat,
@@ -56,6 +57,18 @@ class InvariantViolation(LatticeError):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; InvariantViolation unless it equals one, so that a
+    norm like -5/2 or a Gram entry like 0.5 is never truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise InvariantViolation("%s must be an integer, got %r" % (what, value))
+    return n
+
+
 class Definiteness(enum.Enum):
     POSITIVE_DEFINITE = "positive-definite"
     NEGATIVE_DEFINITE = "negative-definite"
@@ -83,21 +96,23 @@ def definiteness(gram: Sequence[Sequence[Rational]]) -> Definiteness:
 class BBFLattice:
     """An integral lattice given by its Gram matrix.
 
-    The constructor enforces symmetry and nondegeneracy.  Signature is not
-    constrained here: each operation states its own requirement, and the
-    full (3, rank-3) convention is validated at the catalog level.
+    The constructor enforces integral entries (an entry that is not an
+    integer raises InvariantViolation, never truncates), symmetry and
+    nondegeneracy.  Signature is not constrained here: each operation
+    states its own requirement, and the full (3, rank-3) convention is
+    validated at the catalog level.
     """
 
     gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, gram: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in gram)
+        rows = tuple(tuple(_integer(x, "gram entry") for x in row) for row in gram)
         if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("gram matrix must be square")
         if not is_symmetric(rows):
             raise InvariantViolation("gram matrix must be symmetric")
         if rows and det_bareiss(rows) == 0:
-            radical = kernel_int([list(r) for r in rows])
+            radical = hnf(kernel_int(rows))
             raise DegenerateGram(
                 "gram matrix is degenerate; radical basis: %s" % (radical,), radical
             )
@@ -114,13 +129,17 @@ class BBFLattice:
             )
 
     def inner(self, u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
-        """The bilinear form u . gram . v, exact."""
+        """The bilinear form u . gram . v, exact; a float entry counts as
+        the rational it holds exactly, as vec_rat converts it."""
         self._check_dim(u)
         self._check_dim(v)
         total = 0
         for i, ui in enumerate(u):
             if ui:
                 total += ui * dot(self.gram[i], v)
+        if isinstance(total, float):
+            # a float entry met a nonzero one: redo the sum on exact values
+            return self.inner(vec_rat(u), vec_rat(v))
         f = Fraction(total)
         return int(f) if f.denominator == 1 else f
 
@@ -142,15 +161,22 @@ class BBFLattice:
             self._check_dim(row)
         return gram_restrict(basis, self.gram)
 
-    def orthogonal_complement_integral(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
-        """Basis (in row Hermite normal form) of the saturated sublattice
+    def _complement(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
+        """A basis, in no normal form, of the saturated sublattice
         {z integral : q(z, s) = 0 for all rows s of basis}."""
         for row in basis:
             self._check_dim(row)
-        if mat_rank(basis) != len(basis):
+        return kernel_int([clear_denominators(mat_vec(self.gram, row)) for row in basis], self.rank)
+
+    def orthogonal_complement_integral(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
+        """Basis (in row Hermite normal form) of the saturated sublattice
+        {z integral : q(z, s) = 0 for all rows s of basis}.
+        InvariantViolation unless the rows of basis are independent: the
+        form is nondegenerate, so dependent rows leave a larger kernel."""
+        kernel = self._complement(basis)
+        if len(kernel) > self.rank - len(basis):
             raise InvariantViolation("orthogonal complement requires a full-row-rank basis")
-        constraints = [mat_vec(self.gram, row) for row in basis]
-        return kernel_rational_constraints(constraints, self.rank)
+        return hnf(kernel)
 
     def is_type_11(self, z: Sequence[Rational], plane: "OrientedPositiveSubspace") -> bool:
         """Whether z is orthogonal to every vector of the given plane."""
@@ -190,7 +216,7 @@ def direct_sum(*blocks: Sequence[Sequence[int]]) -> list[list[int]]:
     for b in blocks:
         for i, row in enumerate(b):
             for j, x in enumerate(row):
-                g[off + i][off + j] = int(x)
+                g[off + i][off + j] = _integer(x, "gram entry")
         off += len(b)
     return g
 
@@ -207,35 +233,12 @@ def k3_matrix() -> list[list[int]]:
 # -- subspaces ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RationalSubspace:
-    """A subspace of the ambient rational span, held as an ordered rational
-    row basis (rows independent)."""
-
-    lattice: BBFLattice
-    basis: tuple[RatVec, ...]
-
-    def __init__(self, lattice: BBFLattice, basis: Sequence[Sequence[Rational]]):
-        rows = tuple(vec_rat(row) for row in basis)
-        for row in rows:
-            lattice._check_dim(row)
-        if mat_rank(rows) != len(rows):
-            raise InvariantViolation("subspace basis rows must be linearly independent")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "basis", rows)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def restricted_gram(self) -> list[list[Rational]]:
-        return self.lattice.restricted_gram(self.basis)
-
-
-@dataclass(frozen=True)
 class OrientedPositiveSubspace:
     """An oriented subspace of dimension 2 or 3 on which the form is
     positive definite.  Two bases describe the same oriented subspace
-    exactly when the change of basis has positive determinant."""
+    exactly when the change of basis has positive determinant.  Dependent
+    rows give a degenerate restricted Gram, so positive definiteness is
+    also the check that the rows are independent."""
 
     lattice: BBFLattice
     basis: tuple[RatVec, ...]
@@ -246,8 +249,6 @@ class OrientedPositiveSubspace:
             lattice._check_dim(row)
         if len(rows) not in (2, 3):
             raise InvariantViolation("oriented positive subspaces have dimension 2 or 3")
-        if mat_rank(rows) != len(rows):
-            raise InvariantViolation("subspace basis rows must be linearly independent")
         cls = definiteness(gram_restrict(rows, lattice.gram))
         if cls is not Definiteness.POSITIVE_DEFINITE:
             raise InvariantViolation(

@@ -139,17 +139,13 @@ def in_hk_period_image(
     w: OrientedPositiveSubspace | Sequence[Sequence[Rational]],
     norms: NormTargetSet | Iterable[int],
 ) -> PeriodImageResult:
-    """A positive oriented 3-space is in the image exactly when its
-    integral orthogonal complement carries no class with norm in the
-    target set; the offending classes are returned as witnesses."""
-    if isinstance(w, OrientedPositiveSubspace):
-        if w.dim != 3:
-            raise InvariantViolation("period-image test needs a 3-dimensional subspace")
-        rows: Sequence[Sequence[Rational]] = w.basis
-    else:
-        rows = [vec_rat(r) for r in w]
-        if len(rows) != 3:
-            raise InvariantViolation("period-image test needs exactly 3 basis rows")
+    """A positive oriented 3-space, given as an OrientedPositiveSubspace or
+    by its three rows, is in the image exactly when its integral orthogonal
+    complement carries no class with norm in the target set; the offending
+    classes are returned as witnesses."""
+    rows = w.basis if isinstance(w, OrientedPositiveSubspace) else w
+    if len(rows) != 3:
+        raise InvariantViolation("period-image test needs exactly 3 basis rows")
     witnesses = mbm_candidates_in_complement(lattice, rows, norms)
     return PeriodImageResult(in_image=not witnesses, witnesses=tuple(witnesses))
 
@@ -277,7 +273,7 @@ class _FiberFrame:
         self.norms = norms
         x_int = clear_denominators(x)
         constraint = [int(c) for c in mat_vec(lattice.gram, x_int)]
-        basis = kernel_int([constraint], canonical=False)
+        basis = kernel_int([constraint])
         # improve coordinates: Euclidean LLL keeps later Gram entries small
         euclid = [[dot(r1, r2) for r2 in basis] for r1 in basis]
         u = lll_gram(euclid)[0]
@@ -354,7 +350,7 @@ class _FiberFrame:
         walls_in_sublattice on the saturated complement of the plane, which
         is negative definite when plane_shape holds.  Empty exactly when the
         plane's 3-space passes the period-image test."""
-        complement = kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)], canonical=False)
+        complement = kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)])
         return walls_in_sublattice(self.gram_n, complement, self.norms)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,10 @@ class TestBuiltinCatalog:
             v = [rng.randint(-4, 4) for _ in range(6)]
             assert n2.fujiki_top(v) == 3 * lat2.q(v) ** 2
         assert n2.fujiki_top([0] * 6) == 0
+        # a float coordinate counts as the rational it holds exactly
+        v = (0.1, 2.5, 0.3, 0.7, 1.1, 0.2)
+        q_exact = sum(2 * Fraction(v[i]) * Fraction(v[i + 1]) for i in (0, 2, 4))
+        assert n2.fujiki_top(v) == 3 * q_exact ** 2
 
 
 class TestRoundTrip:
@@ -117,6 +122,37 @@ class TestValidation:
         bad = self._base(catalog)
         bad["fujiki_c"] = 0
         assert [c.name for c in validate_entry(bad) if not c.passed] == ["fujiki-positive"]
+
+    def test_booleans_are_not_integers(self, catalog):
+        # JSON true is not the integer 1 in any integer field
+        for key, value, check in (
+            ("b2", True, "square"),
+            ("fujiki_c", True, "fujiki-positive"),
+            ("half_dim_n", True, "half-dim-positive"),
+            ("mbm_norms", [-2, False], "norms-negative"),
+        ):
+            bad = self._base(catalog)
+            bad[key] = value
+            assert [c.name for c in validate_entry(bad) if not c.passed] == [check]
+            with pytest.raises(CatalogError):
+                load_entry(bad)
+        bad = self._base(catalog)
+        bad["b2"] = 2
+        bad["gram"] = [[False, True], [True, False]]
+        assert [c.name for c in validate_entry(bad) if not c.passed] == ["square"]
+
+    def test_even_must_be_a_boolean(self, catalog):
+        for value in ("false", "true", 1, 0, None):
+            bad = self._base(catalog)
+            bad["even"] = value
+            assert [c.name for c in validate_entry(bad) if not c.passed] == ["evenness"]
+            with pytest.raises(CatalogError):
+                load_entry(bad)
+        odd = self._base(catalog)
+        odd["b2"] = 4
+        odd["gram"] = [[1 if i == j else 0 for j in range(4)] for i in range(3)] + [[0, 0, 0, -1]]
+        odd["even"] = False
+        assert load_entry(odd).even is False
 
     def test_missing_key(self, catalog):
         bad = self._base(catalog)

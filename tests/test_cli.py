@@ -1,8 +1,11 @@
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +319,23 @@ class TestDeterminismAndEnv:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"in_image": True, "q": "2"}
+
+    def test_readme_examples(self, capsys, monkeypatch):
+        # each "bbf ..." line of the README's command-line block prints the
+        # "# {...}" line under it, where "..." stands for any elided text
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.splitlines()
+        examples = [
+            (line, lines[i + 1][2:]) for i, line in enumerate(lines) if line.startswith("bbf ")
+        ]
+        assert len(examples) == 5
+        monkeypatch.delenv("BBF_CATALOG", raising=False)
+        for command, shown in examples:
+            assert main(shlex.split(command)[1:]) == 0, command
+            printed = capsys.readouterr().out.rstrip("\n")
+            pattern = ".*".join(re.escape(part) for part in shown.split("..."))
+            assert re.fullmatch(pattern, printed), (command, printed)
 
     def test_output_always_json(self, capsys):
         for args in (

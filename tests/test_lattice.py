@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bbf.exactlinalg import combine_rows, det_bareiss, det_rational, gram_restrict, hnf
+from bbf.exactlinalg import combine_rows, det_bareiss, det_rational, gram_restrict, hnf, vec_rat
 from bbf.lattice import (
     BBFLattice,
     DegenerateGram,
@@ -14,7 +14,6 @@ from bbf.lattice import (
     OrientationRelation,
     OrientedPositiveSubspace,
     PeriodLine,
-    RationalSubspace,
     definiteness,
     diagonal_matrix,
     direct_sum,
@@ -45,6 +44,21 @@ class TestConstruction:
         with pytest.raises(DegenerateGram) as err:
             BBFLattice([[2, 2], [2, 2]])
         assert err.value.kernel == [(1, -1)]
+        # the radical is reported in row Hermite normal form
+        with pytest.raises(DegenerateGram) as err:
+            BBFLattice([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        assert err.value.kernel == [(1, 0, -1), (0, 1, -1)]
+
+    def test_rejects_non_integral_entries(self):
+        # a Gram entry is checked, never truncated
+        for gram in ([[0.5, 1], [1, -2.7]], [[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [[0, "1"], ["1", 0]]):
+            with pytest.raises(InvariantViolation):
+                BBFLattice(gram)
+        with pytest.raises(InvariantViolation):
+            direct_sum(hyperbolic_plane(), [[-2.5]])
+        # entries that equal integers are kept as those integers
+        assert BBFLattice([[0.0, 1.0], [Fraction(2, 2), 0]]).gram == ((0, 1), (1, 0))
+        assert direct_sum([[Fraction(-4, 2)]]) == [[-2]]
 
     def test_k3_lattice(self, lat_k3):
         assert lat_k3.rank == 22
@@ -62,6 +76,22 @@ class TestInner:
     def test_dimension_mismatch(self, lat_u):
         with pytest.raises(DimensionMismatch):
             lat_u.inner((1, 0, 0), (0, 1))
+
+    def test_float_entries_are_exact(self, lat_hyp):
+        # q(a, b, c) = 2ab - 2c^2 at the rationals the floats hold exactly;
+        # in floating point 2 * 0.1 * 2.5 - 2 * 0.5^2 rounds to 0
+        v = (0.1, 2.5, 0.5)
+        assert lat_hyp.q(v) == 5 * Fraction(0.1) - Fraction(1, 2) > 0
+        assert lat_hyp.inner(v, (1, 0, 0)) == Fraction(2.5)
+        assert lat_hyp.inner((0, 0, 0), v) == 0
+        grid = [x / 10 for x in range(-30, 31, 3)]
+        for a in grid:
+            for c in (0.1, 0.3, 0.5, 0.7):
+                for b in (0.2, 1.5, 2.5, 4.9):
+                    u = (a, b, c)
+                    exact = vec_rat(u)
+                    assert lat_hyp.q(u) == lat_hyp.q(exact)
+                    assert lat_hyp.inner(u, (1, 2, 3)) == lat_hyp.inner(exact, (1, 2, 3))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -332,6 +362,12 @@ class TestIsType11:
         assert lat_u3.is_type_11((1, -1, 0, 0, 0, 0), plane)
         assert not lat_u3.is_type_11((1, 0, 0, 0, 0, 0), plane)
 
+    def test_float_entries_are_exact(self, lat_u3):
+        # q(z, (1, 1, 1, 1, 0, 0)) = 10^16 + 1 - 10^16 - 1 = 0, which a
+        # floating-point sum loses: 10^16 + 1 rounds to 10^16
+        plane = OrientedPositiveSubspace(lat_u3, ((1, 1, 1, 1, 0, 0), Z))
+        assert lat_u3.is_type_11((1e16, 1.0, -1e16, -1.0, 0, 0), plane)
+
     def test_matches_complement_membership(self, lat_u3):
         rng = random.Random(41)
         plane = OrientedPositiveSubspace(lat_u3, (X, Y))
@@ -348,6 +384,14 @@ def test_e8_even_negative_definite():
     assert definiteness(e8m) is Definiteness.NEGATIVE_DEFINITE
 
 
-def test_rational_subspace_rank_check(lat_u3):
-    with pytest.raises(InvariantViolation):
-        RationalSubspace(lat_u3, [X, X])
+def test_dependent_rows_rejected(lat_u3):
+    # a nondegenerate form leaves dependent rows a larger kernel, and a
+    # degenerate restricted Gram, so neither path needs a rank computation
+    x_plus_y = tuple(a + b for a, b in zip(X, Y))
+    for rows in ([X, X], [X, Y, x_plus_y], [X, (2, 2, 0, 0, 0, 0)]):
+        with pytest.raises(InvariantViolation, match="full-row-rank"):
+            lat_u3.orthogonal_complement_integral(rows)
+        with pytest.raises(InvariantViolation, match="degenerate"):
+            OrientedPositiveSubspace(lat_u3, rows)
+    with pytest.raises(InvariantViolation, match="full-row-rank"):
+        lat_u3.orthogonal_complement_integral([X, Y, Z, X, Y, Z, X])

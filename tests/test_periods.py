@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbf.enumeration import NormTargetSet
+from bbf.enumeration import NormTargetSet, mbm_candidates_in_complement, walls_in_sublattice
 from bbf.exactlinalg import rank
 from bbf.lattice import (
     InvariantViolation,
@@ -88,6 +88,17 @@ class TestSymplecticImage:
     def test_matches_form_sign(self, lat_u3, v):
         assert in_symplectic_period_image(lat_u3, v) == (lat_u3.q(v) > 0)
 
+    def test_float_entries_decided_exactly(self, lat_hyp):
+        # q(a, b, c) = 2ab - 2c^2 on U + <-2>, at the rationals the floats
+        # hold; near the light cone floating point gets the sign wrong
+        assert in_symplectic_period_image(lat_hyp, (0.1, 2.5, 0.5))
+        tenths = [k / 10 for k in range(1, 31)]
+        for a in tenths:
+            for b in tenths:
+                for c in (0.1, 0.3, 0.5, 0.7, 1.1):
+                    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+                    assert in_symplectic_period_image(lat_hyp, (a, b, c)) == (fa * fb > fc * fc)
+
     def test_scaling_invariance(self, lat_u3):
         for v in (X, (1, -1, 0, 0, 0, 0)):
             base = in_symplectic_period_image(lat_u3, v)
@@ -152,6 +163,77 @@ class TestHKImage:
             if big.in_image:
                 assert small.in_image
         assert checked > 20
+
+
+def positive_3spaces(lat, seed, count, norms):
+    """count positive 3-spaces of a signature-(3, k) lattice, as integer
+    rows x, u, v: a random positive class x with a fiber plane over it
+    (positive 3-spaces are a thin cap, which the fiber sampler aims at)."""
+    rng = random.Random(seed)
+    while True:
+        x = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+        if lat.q(x) > 0:
+            break
+    return [[x, *s.point.plane.basis] for s in sample_fiber(lat, x, count, norms, seed)]
+
+
+def rational_rows(rows, rng):
+    """Rows spanning the same space with the same orientation: a random
+    upper-triangular rational change of basis with positive diagonal."""
+    out = []
+    for i in range(3):
+        coeffs = [Fraction(rng.randint(1, 5), rng.randint(1, 4)) if j == i
+                  else Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if j > i else 0
+                  for j in range(3)]
+        out.append(tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(len(rows[0]))))
+    return out
+
+
+class TestComplementOracle:
+    # the period-image test searches the complement as the kernel leaves
+    # it; the canonical (row Hermite) complement is the oracle
+    @pytest.mark.parametrize(
+        "name, norms, seed, count", [("U3", [-2, -4], 61, 30), ("K3", [-2], 4, 12)], ids=["U3", "K3"]
+    )
+    def test_against_canonical_complement(self, lat_u3, lat_k3, name, norms, seed, count):
+        lat = lat_u3 if name == "U3" else lat_k3
+        rng = random.Random(seed)
+        outcomes = set()
+        for rows in positive_3spaces(lat, seed, count, norms):
+            for basis in (rows, rational_rows(rows, rng)):
+                oracle = walls_in_sublattice(
+                    lat.gram, lat.orthogonal_complement_integral(basis), NormTargetSet(norms)
+                )
+                assert mbm_candidates_in_complement(lat, basis, norms) == oracle
+                for w in (basis, OrientedPositiveSubspace(lat, basis)):
+                    res = in_hk_period_image(lat, w, norms)
+                    assert res.witnesses == tuple(oracle)
+                    assert res.in_image == (not oracle)
+                outcomes.add(not oracle)
+        assert outcomes == {True, False}
+
+    def test_one_elimination_per_call(self, lat_k3, monkeypatch):
+        # one hnf_with_transform (the saturated kernel), and neither a
+        # rank computation nor a canonical Hermite form
+        import sys
+
+        from bbf import exactlinalg
+
+        calls = {"hnf_with_transform": 0, "hnf": 0, "rref": 0}
+        rows = positive_3spaces(lat_k3, 5, 1, [-2])[0]
+        modules = [m for n, m in sys.modules.items() if n == "bbf" or n.startswith("bbf.")]
+        for name in calls:
+            original = getattr(exactlinalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        in_hk_period_image(lat_k3, rows, [-2])
+        assert calls == {"hnf_with_transform": 1, "hnf": 0, "rref": 0}
 
 
 class TestTwistor:
