@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlinalg import (
@@ -99,8 +100,10 @@ def _negative_definite_search(
 ) -> tuple[list[IntVec], dict[int, list[IntVec]]]:
     """Fincke-Pohst for the given negative norms: (U, {m: [x, ...]}), one x
     of norm m for each +- pair, in the coordinates of the LLL-reduced basis,
-    the rows of U.  SignatureError unless the integer Gram is negative definite
-    (the leading-minor test inside LLL decides); TypeError on other entries."""
+    the rows of U.  The search runs on phi = -q with ell = 0, so its shell
+    value tau = -phi(x) is q(x) and the targets are the norms themselves.
+    SignatureError unless the integer Gram is negative definite (the
+    leading-minor test inside LLL decides); TypeError on other entries."""
     try:
         u, lam, d = lll_gram([[-x for x in row] for row in gram])
     except ValueError:
@@ -109,10 +112,8 @@ def _negative_definite_search(
             % (inertia(gram),)
         ) from None
     table: dict[int, list[IntVec]] = {m: [] for m in norms}
-    for x, neg_norm in short_vectors(lam, d, -min(table)):
-        hits = table.get(-neg_norm)
-        if hits is not None:
-            hits.append(x)
+    for x, m in short_vectors(lam, d, -min(table), [0] * len(u), table):
+        table[m].append(x)
     return u, table
 
 
@@ -178,7 +179,7 @@ def mbm_candidates_in_complement(
     as the kernel leaves it.
     """
     norms = NormTargetSet.coerce(norms)
-    basis = [vec_rat(r) for r in subspace]
+    basis = list(subspace)
     sub_gram = lattice.restricted_gram(basis)
     if definiteness(sub_gram) is not Definiteness.POSITIVE_DEFINITE:
         raise InvariantViolation(
@@ -222,32 +223,34 @@ def _segment_walls(
     a, b, c = dot(u_int, gu), dot(v_int, gu), dot(v_int, gv)
     big_m = norms.max_abs
     phi_gram = [[2 * gu[i] * gu[j] - a * gram[i][j] for j in range(n)] for i in range(n)]
-    # phi(z) - 2 q(z,u')^2 = -a q(z,z) gives a candidate's norm exactly
+    # 2 q(z,u')^2 - phi(z) = a q(z,z): the search's shell values
     scaled_norms = {a * m: m for m in norms}
     # u = su u' and v = sv v' with su, sv > 0: the signs of q(z,u), q(z,v)
-    # are those of q(z,u'), q(z,v'), and the parameter is on the given segment
-    su, sv = Fraction(dot(u, gu)) / a, Fraction(dot(v, gu)) / b
+    # are those of q(z,u'), q(z,v'), and the parameter is on the given
+    # segment.  With su = p1/p2 and sv = r1/r2 it is
+    # su qzu / (su qzu - sv qzv) = alpha qzu / (alpha qzu - beta qzv)
+    su, sv = Fraction(dot(u, gu), a), Fraction(dot(v, gu), b)
+    alpha, beta = su.numerator * sv.denominator, sv.numerator * su.denominator
     # Fincke-Pohst answers with one x of each +- pair in the coordinates of
     # the rows of U: q(z,u') = x . (U G u') for z = x . U, and so for v'
     reduced, lam, d = lll_gram(phi_gram)
     gu_red, gv_red = mat_vec(reduced, gu), mat_vec(reduced, gv)
     through_u, through_v, crossing = [], [], []
-    for x, phi in short_vectors(lam, d, 2 * big_m * b * b // c - big_m * a):
-        qzu = dot(x, gu_red)
-        m = scaled_norms.get(2 * qzu * qzu - phi)
-        if m is None:
-            continue
-        qzv = dot(x, gv_red)
+    bound = 2 * big_m * b * b // c - big_m * a
+    for x, tau in short_vectors(lam, d, bound, gu_red, scaled_norms):
+        qzu, qzv = sum(map(mul, x, gu_red)), sum(map(mul, x, gv_red))
         # z is primitive exactly when x is (U is unimodular)
         if qzu * qzv > 0 or content(x) != 1:
             continue
+        m = scaled_norms[tau]
         z = sign_normalize(combine_rows(x, reduced))
         if qzu == 0:
             through_u.append(WallReport(wall_class=z, norm=m))
         if qzv == 0:
             through_v.append(WallReport(wall_class=z, norm=m))
         if qzu * qzv < 0:
-            t = su * qzu / (su * qzu - sv * qzv)
+            # alpha, beta > 0, so the denominator is nonzero
+            t = Fraction(alpha * qzu, alpha * qzu - beta * qzv)
             crossing.append(WallReport(wall_class=z, norm=m, crossing_parameter=t))
     through_u.sort(key=lambda r: r.wall_class)
     through_v.sort(key=lambda r: r.wall_class)
@@ -320,6 +323,13 @@ def separating_walls(
     2 M q(u',v')^2 // q(v',v') - M q(u',u').  Walls through u (t = 0) and
     through v (t = 1) obey the same inequality: they are the candidates
     with q(z,u') = 0 or q(z,v') = 0.
+
+    The search is short_vectors with l(z) = q(z,u') and the targets
+    a m for the norms m: 2 q(z,u')^2 - phi(z) = a q(z,z), so it reports
+    only the z on a norm shell (its last coordinate solves that equation
+    instead of walking its interval).  Each candidate then needs only the
+    sign test q(z,u') q(z,v') <= 0, the primitivity test and, when it
+    crosses, its parameter.
     """
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)

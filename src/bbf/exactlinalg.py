@@ -7,7 +7,7 @@ here mutates its arguments unless explicitly stated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -397,34 +397,77 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[list[int
 # short vector enumeration (Fincke-Pohst on the integral LLL data)
 # ---------------------------------------------------------------------------
 
-def short_vectors(lam: Sequence[Sequence[int]], d: Sequence[int], bound: int) -> list[tuple[IntVec, int]]:
+def short_vectors(
+    lam: Sequence[Sequence[int]],
+    d: Sequence[int],
+    bound: int,
+    ell: Sequence[int],
+    targets: Iterable[int],
+) -> list[tuple[IntVec, int]]:
     """Fincke-Pohst on the integral Gram-Schmidt data (lam, d) of a
-    positive-definite integer Gram, as lll_gram returns it: one x of each
-    +- pair x != 0 with q(x) <= bound (the one whose last nonzero coordinate
-    is positive), each with q(x), in no particular order; -x is the other
-    half of the answer.  x is in the coordinates of the rows of lll_gram's
-    U; callers map back (combine_rows(x, U)) only the vectors they keep.
-    Pruning is all-integer: exact cross-multiplications of unreduced
-    fractions.  Rank 0 gives []."""
+    positive-definite integer form phi, as lll_gram returns it, restricted
+    to one shell: one x of each +- pair x != 0 with phi(x) <= bound and
+
+        tau = 2 l(x)^2 - phi(x) in targets,   l(x) = x . ell,
+
+    as pairs (x, tau), in no particular order; -x is the other half of the
+    answer.  x is in the coordinates of the rows of lll_gram's U, and so is
+    ell; callers map back (combine_rows(x, U)) only the vectors they keep.
+    With ell = 0, tau = -phi(x).
+
+    The last coordinate is not walked: with x[1:] fixed, the shell
+    condition is an integer quadratic in x[0] (see _last_coordinate), and
+    only its integral roots inside the interval allowed by the bound are
+    reported.  Pruning is all-integer: exact cross-multiplications of
+    unreduced fractions.  The x reported is the one whose last nonzero
+    coordinate is positive.  Rank 0 gives []."""
     n = len(lam)
     results: list[tuple[IntVec, int]] = []
     if n:
-        _descend(lam, d, bound, [0] * n, results, n - 1, bound, 1, True)
+        _descend(lam, d, bound, ell, tuple(targets), [0] * n, results, n - 1, bound, 1, 0, True)
     return results
 
 
-def _descend(lam, d, bound, x, results, j, t_num, t_den, top) -> None:
-    """One Fincke-Pohst level j with budget t_num/t_den; x[j+1:] is fixed,
-    and all zero when top is set.  A module-level function, so a search
-    leaves no reference cycle."""
+def _descend(lam, d, bound, ell, targets, x, results, j, t_num, t_den, h, top) -> None:
+    """One Fincke-Pohst level j with budget t_num/t_den and h = l(x[j+1:]);
+    x[j+1:] is fixed, and all zero when top is set.  A module-level
+    function, so a search leaves no reference cycle."""
     # level j uses |b*_j|^2 = d[j+1]/d[j] and center -c/d[j+1]
     c = 0
     for i in range(j + 1, len(x)):
         if x[i]:
             c += lam[i][j] * x[i]
     dj, dj1 = d[j], d[j + 1]
+    if j == 0:
+        # d[0] = 1 and, with s = d1 x0 + c, phi(x) = bound - t_num/t_den + s^2/d1
+        # for every x0; phi is integral, so room = d1 t_num/t_den is an
+        # integer, and x0 is inside the interval exactly when s^2 <= room
+        room = dj1 * t_num // t_den
+        s = dj1 * (-c // dj1) + c
+        if s * s > room and (s + dj1) ** 2 > room:
+            return  # neither point next to the center fits
+        # 2 (g x0 + h)^2 - phi(x) = tau is, times d1,
+        # a x0^2 + 2 b x0 + k0 + d1 tau = 0
+        g = ell[0]
+        a = dj1 * (dj1 - 2 * g * g)
+        b = dj1 * (c - 2 * g * h)
+        k0 = c * c + dj1 * (bound - 2 * h * h) - room
+        for tau in targets:
+            roots = _last_coordinate(a, b, k0 + dj1 * tau)
+            if roots is None:
+                # a = b = 0 and the equation holds: every x0 of the interval
+                r = isqrt(room)
+                roots = range(-((r + c) // dj1), (r - c) // dj1 + 1)
+            for x0 in roots:
+                s = dj1 * x0 + c
+                if s * s <= room and (x0 > 0 or not top):
+                    x[0] = x0
+                    results.append((tuple(x), tau))
+        x[0] = 0
+        return
     lim = t_num * dj * dj1
     new_den = t_den * dj * dj1
+    g = ell[j]
     for direction in (0, 1):
         xj = -c // dj1 + direction  # floor of the real center, then +1
         while True:
@@ -432,15 +475,28 @@ def _descend(lam, d, bound, x, results, j, t_num, t_den, top) -> None:
             rem = lim - s * s * t_den
             if rem < 0:
                 break
-            if j == 0:
-                x[0] = xj
-                if any(x):
-                    # rem/new_den = bound - q(x), an exact integer
-                    results.append((tuple(x), bound - rem // new_den))
-            else:
-                x[j] = xj
-                _descend(lam, d, bound, x, results, j - 1, rem, new_den, top and xj == 0)
+            x[j] = xj
+            _descend(lam, d, bound, ell, targets, x, results, j - 1, rem, new_den, h + g * xj, top and xj == 0)
             if top and direction == 0:
                 break  # x[j+1:] == 0: xj = 0, then the positive side only
             xj = xj - 1 if direction == 0 else xj + 1
     x[j] = 0
+
+
+def _last_coordinate(a: int, b: int, k: int) -> tuple[int, ...] | None:
+    """The integer roots of a x^2 + 2 b x + k = 0, or None when every x is
+    one (a = b = k = 0)."""
+    if a:
+        disc = b * b - a * k
+        if disc < 0:
+            return ()
+        r = isqrt(disc)
+        if r * r != disc:
+            return ()
+        lo, hi = divmod(-b - r, a), divmod(-b + r, a)
+        if r == 0:
+            return () if lo[1] else (lo[0],)
+        return tuple(y for y, rest in (lo, hi) if not rest)
+    if b:
+        return (-k // (2 * b),) if k % (2 * b) == 0 else ()
+    return None if k == 0 else ()

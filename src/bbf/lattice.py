@@ -156,17 +156,21 @@ class BBFLattice:
             object.__setattr__(self, "_signature", sig)
         return sig
 
-    def restricted_gram(self, basis: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
+    def _exact_rows(self, basis: Sequence[Sequence[Rational]]) -> list[RatVec]:
+        """The rows of basis with every entry exact, a float as the rational
+        it holds (as inner reads it); DimensionMismatch on a wrong length."""
         for row in basis:
             self._check_dim(row)
-        return gram_restrict(basis, self.gram)
+        return [vec_rat(row) for row in basis]
+
+    def restricted_gram(self, basis: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
+        return gram_restrict(self._exact_rows(basis), self.gram)
 
     def _complement(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
         """A basis, in no normal form, of the saturated sublattice
         {z integral : q(z, s) = 0 for all rows s of basis}."""
-        for row in basis:
-            self._check_dim(row)
-        return kernel_int([clear_denominators(mat_vec(self.gram, row)) for row in basis], self.rank)
+        rows = self._exact_rows(basis)
+        return kernel_int([clear_denominators(mat_vec(self.gram, row)) for row in rows], self.rank)
 
     def orthogonal_complement_integral(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
         """Basis (in row Hermite normal form) of the saturated sublattice

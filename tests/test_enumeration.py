@@ -362,13 +362,14 @@ class TestSeparatingWalls:
         calls = []
         search = enumeration.short_vectors
 
-        def counted(*args):
-            calls.append(args)
-            return search(*args)
+        def counted(lam, d, bound, ell, targets):
+            calls.append(sorted(targets))
+            return search(lam, d, bound, ell, targets)
 
         monkeypatch.setattr(enumeration, "short_vectors", counted)
-        separating_walls(lat_hyp, (3, 4, 1), (4, 3, -1), [-2])
-        assert len(calls) == 1
+        separating_walls(lat_hyp, (3, 4, 1), (4, 3, -1), [-2, -4])
+        # its shell values are q(u,u) m = 22 m for the norms m
+        assert calls == [[-88, -44]]
         with pytest.raises(OnWallError):
             separating_walls(lat_hyp, (3, 4, 1), (1, 1, 0), [-2])
         assert len(calls) == 2

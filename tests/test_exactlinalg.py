@@ -24,6 +24,7 @@ from bbf.exactlinalg import (
     integral_gso,
     kernel_int,
     lll_gram,
+    mat_vec,
     primitive_part,
     rank,
     short_vectors,
@@ -220,26 +221,150 @@ def brute_short_vectors(g, bound):
     return sorted(out)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_short_vectors_against_box_oracle(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 4)
+def shell_oracle(g, bound, ell, targets):
+    """The box oracle's vectors x with 2 (x . ell)^2 - g(x) in targets, as
+    (x, that value)."""
+    out = []
+    for x, norm in brute_short_vectors(g, bound):
+        tau = 2 * dot(x, ell) ** 2 - norm
+        if tau in targets:
+            out.append((x, tau))
+    return sorted(out)
+
+
+def search_both_signs(g, bound, ell, targets):
+    """short_vectors on the LLL data of g, with ell given in the coordinates
+    of g, mapped back and completed by the other sign of each pair."""
+    u, lam, d = lll_gram(g)
+    hits = [(combine_rows(x, u), tau) for x, tau in short_vectors(lam, d, bound, mat_vec(u, ell), targets)]
+    both = sorted(hits + [(tuple(-c for c in z), tau) for z, tau in hits])
+    # one vector of each +- pair
+    assert len(both) == 2 * len(set(z for z, _ in hits))
+    return both
+
+
+def random_positive_definite(rng, n):
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         a[i][i] = rng.randint(1, 2)
         for j in range(i):
             a[i][j] = rng.randint(-1, 1)
-    g = [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_short_vectors_against_box_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    g = random_positive_definite(rng, n)
     bound = rng.randint(1, 10)
-    # the search answers in the coordinates of the reduced basis, the rows of U
-    u, lam, d = lll_gram(g)
-    hits = [(combine_rows(x, u), norm) for x, norm in short_vectors(lam, d, bound)]
-    # one vector of each +- pair: the hits and their negations are the
-    # oracle's vectors, and the hits are exactly half of them
-    oracle = brute_short_vectors(g, bound)
-    assert sorted(hits + [(tuple(-c for c in z), norm) for z, norm in hits]) == oracle
-    assert 2 * len(hits) == len(oracle)
+    ell = [rng.randint(-2, 2) for _ in range(n)] if rng.random() < 0.8 else [0] * n
+    # targets: some values the shell takes, and some it may not
+    values = sorted({tau for _, tau in shell_oracle(g, bound, ell, range(-bound, 10**6))})
+    targets = set(rng.sample(values, min(len(values), rng.randint(1, 3))))
+    targets |= {rng.randint(-bound, 2 * bound) for _ in range(rng.randint(0, 2))}
+    assert search_both_signs(g, bound, ell, targets) == shell_oracle(g, bound, ell, targets)
+
+
+def test_short_vectors_on_huge_gram_entries():
+    # V . G . V^T for a unimodular V with entries near 10^10: the same form
+    # as G in a badly skewed basis, so its vectors are z . V^-1 for G's z
+    g = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]  # A4
+    big = 10**10 + 7
+    v = [[1, 0, 0, 0], [big, 1, 0, 0], [3 * big, big + 1, 1, 0], [big, -big, 5 * big, 1]]
+    assert abs(det_bareiss(v)) == 1
+    gv = gram_restrict(v, g)
+    assert max(abs(x) for row in gv for x in row) >= 10**20
+    ell = [1, -2, 0, 1]
+    ell_v = mat_vec(v, ell)  # (z . V) . ell = z . (V . ell)
+    values = {tau for _, tau in shell_oracle(g, 8, ell, range(-8, 10**6))}
+    targets = set(sorted(values)[::2])
+    hits = search_both_signs(gv, 8, ell_v, targets)
+    assert sorted((combine_rows(z, v), tau) for z, tau in hits) == shell_oracle(g, 8, ell, targets)
+    assert hits
+
+
+def _record_branches(monkeypatch):
+    """Wrap the last level of the search: the set of level-0 branches taken
+    ("two roots", "double root", "linear", "walk", "empty interval")."""
+    import bbf.exactlinalg as xl
+
+    seen = set()
+    calls = {"level0": 0, "solved": 0, "targets": 1}
+    solve, descend = xl._last_coordinate, xl._descend
+
+    def solve_traced(a, b, k):
+        roots = solve(a, b, k)
+        calls["solved"] += 1
+        if roots is None:
+            seen.add("walk")
+        elif a and len(roots) == 2:
+            seen.add("two roots")
+        elif a and roots and b * b == a * k:
+            seen.add("double root")
+        elif not a and roots:
+            seen.add("linear")
+        return roots
+
+    def descend_traced(lam, d, bound, ell, targets, x, results, j, *rest):
+        if j == 0:
+            calls["level0"] += 1
+            calls["targets"] = len(targets)
+        descend(lam, d, bound, ell, targets, x, results, j, *rest)
+        if j == len(x) - 1 and calls["level0"] * calls["targets"] > calls["solved"]:
+            seen.add("empty interval")
+
+    monkeypatch.setattr(xl, "_last_coordinate", solve_traced)
+    monkeypatch.setattr(xl, "_descend", descend_traced)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "g, bound, ell, targets, branches",
+    [
+        # |x| = 1 in Z^2: x0 = +-1 over x1 = 0, and x0 = 0 over x1 = 1
+        ([[1, 0], [0, 1]], 1, [0, 0], {-1}, {"two roots", "double root"}),
+        # phi(b0) = 2 l(b0)^2: the quadratic term vanishes
+        ([[2, 1], [1, 3]], 20, [1, 0], {-3, -8, -11, 4}, {"linear"}),
+        # x1 = 1 spends the whole budget, and level 0 has no point at its
+        # center -1/2
+        ([[4, 2], [2, 5]], 4, [0, 0], {-4}, {"empty interval", "two roots"}),
+    ],
+)
+def test_short_vectors_level0_branches(monkeypatch, g, bound, ell, targets, branches):
+    seen = _record_branches(monkeypatch)
+    hits = search_both_signs(g, bound, ell, targets)
+    assert hits == shell_oracle(g, bound, ell, targets)
+    assert hits
+    assert branches <= seen
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_short_vectors_walks_an_isotropic_first_vector(monkeypatch, n):
+    # U + <-2> at h = (n, 1, 0): phi = 2 q(z,h)^2 - q(h,h) q(z,z) has phi(e0) = 2
+    # with e0 isotropic and q(e0,h) = 1, so level 0's equation has a = 0, and
+    # over x = (0, 0, +-1) also b = 0 and it holds for every x0: every
+    # (x0, 0, +-1) has norm -2.  The walk there must find the wall (0, 0, 1).
+    from bbf.enumeration import wall_classes_through
+    from bbf.lattice import BBFLattice
+
+    gram = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+    lat = BBFLattice(gram)
+    h = (n, 1, 0)
+    seen = _record_branches(monkeypatch)
+    walls = wall_classes_through(lat, h, [-2])
+    assert "walk" in seen
+    # box oracle on the same ellipsoid phi(z) <= 2 q(h,h)
+    gh = mat_vec(gram, h)
+    a = dot(h, gh)
+    phi = [[2 * gh[i] * gh[j] - a * gram[i][j] for j in range(3)] for i in range(3)]
+    oracle = sorted(
+        sign_normalize(z) for z, _ in brute_short_vectors(phi, 2 * a)
+        if dot(z, gh) == 0 and dot(z, mat_vec(gram, z)) == -2 and primitive_part(z) == z
+        and sign_normalize(z) == z
+    )
+    assert [w.wall_class for w in walls] == oracle == [(0, 0, 1)]
 
 
 def test_short_vectors_leaves_no_reference_cycle():
@@ -250,7 +375,9 @@ def test_short_vectors_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert len(short_vectors(lam, d, 12)) == 43  # A3: (12 + 6 + 24 + 12 + 24 + 8) / 2
+        # ell = 0: the shell values are -phi(x), here every norm up to 12
+        hits = short_vectors(lam, d, 12, [0, 0, 0], range(-12, 0))
+        assert len(hits) == 43  # A3: (12 + 6 + 24 + 12 + 24 + 8) / 2
         assert gc.collect() == 0
     finally:
         if enabled:

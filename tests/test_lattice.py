@@ -214,6 +214,22 @@ class TestRestrictedGramAndDefiniteness:
         assert lat_u3.restricted_gram([(1, -1, 0, 0, 0, 0)]) == [[-2]]
         assert lat_hyp.restricted_gram([(1, 2, 1), (0, 0, 1)]) == [[2, -2], [-2, -2]]
 
+    def test_float_rows_are_exact(self, lat_hyp):
+        # a float entry is the rational it holds, as inner reads it; a
+        # product in floating point gave [[0.0]]
+        row = (0.1, 2.5, 0.5)
+        assert lat_hyp.q(row) == Fraction(1, 36028797018963968)
+        assert lat_hyp.restricted_gram([row]) == [[Fraction(1, 36028797018963968)]]
+        assert definiteness(lat_hyp.restricted_gram([row])) is Definiteness.POSITIVE_DEFINITE
+
+    def test_float_rows_complement_is_exact(self, lat_k3):
+        # a product in floating point gave entries near 5 * 10^15
+        row = [0] * 22
+        row[6], row[8] = 0.1, 0.2
+        comp = lat_k3.orthogonal_complement_integral([row])
+        assert comp == lat_k3.orthogonal_complement_integral([vec_rat(row)])
+        assert max(abs(x) for z in comp for x in z) <= 3
+
     def test_classification(self):
         assert definiteness([[2, 0], [0, 2]]) is Definiteness.POSITIVE_DEFINITE
         assert definiteness(diagonal_matrix([-2, -2, -4])) is Definiteness.NEGATIVE_DEFINITE
