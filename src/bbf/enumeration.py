@@ -19,11 +19,12 @@ from .exactlinalg import (
     clear_denominators,
     combine_rows,
     content,
+    det_bareiss,
     dot,
-    gram_restrict,
     inertia,
     is_symmetric,
     lll_gram,
+    mat_mul,
     mat_vec,
     short_vectors,
     sign_normalize,
@@ -95,26 +96,119 @@ class OnWallError(InvariantViolation):
         self.walls = walls
 
 
-def _negative_definite_search(
-    gram: Sequence[Sequence[int]], norms: Iterable[int]
-) -> tuple[list[IntVec], dict[int, list[IntVec]]]:
-    """Fincke-Pohst for the given negative norms: (U, {m: [x, ...]}), one x
-    of norm m for each +- pair, in the coordinates of the LLL-reduced basis,
-    the rows of U.  The search runs on phi = -q with ell = 0, so its shell
-    value tau = -phi(x) is q(x) and the targets are the norms themselves.
-    SignatureError unless the integer Gram is negative definite (the
-    leading-minor test inside LLL decides); TypeError on other entries."""
-    try:
-        u, lam, d = lll_gram([[-x for x in row] for row in gram])
-    except ValueError:
-        raise SignatureError(
-            "enumeration requires a negative-definite form, got inertia %s"
-            % (inertia(gram),)
-        ) from None
-    table: dict[int, list[IntVec]] = {m: [] for m in norms}
-    for x, m in short_vectors(lam, d, -min(table), [0] * len(u), table):
-        table[m].append(x)
-    return u, table
+# log2 of the first penalty weight N of _walls_orthogonal; N decides only
+# how fast the reduction runs, never its answer
+_PENALTY_BITS = 40
+
+# a reduced basis U with U G U^T, or None where it was not formed
+ReducedBasis = tuple[list[list[int]], list[list[int]] | None]
+
+
+def _walls_orthogonal(
+    gram: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[Rational]],
+    norms: Iterable[int],
+    start: ReducedBasis | None = None,
+) -> tuple[ReducedBasis, dict[int, list[IntVec]]]:
+    """Fincke-Pohst for the given negative norms on the saturated lattice
+    K = {z integral : q(z, r) = 0 for every row r}, found by one LLL
+    reduction with the rows as a penalty: ((U, U G U^T), {m: [x, ...]}),
+    one x of norm m for each +- pair.  x has m = n - k coordinates, in the
+    basis of the first m rows of the unimodular U (z = combine_rows(x,
+    U[:m])), and those rows are a basis of K, so z is primitive exactly
+    when x is.  rows = () searches the whole lattice.
+
+    The k rows must be independent and span a space on which q is
+    positive definite.  Let R be the rows cleared of denominators,
+    A = R G and M = R G R^T, an integral positive-definite k x k matrix.
+    The search reduces
+
+        Q_N = -G + N^2 A^T A,
+
+    which is -q on K, since A z = 0 there.
+
+    - Q_N is positive definite exactly when -q is positive definite on K
+      and N^2 M > I: writing z = z_K + R^T c,
+      Q_N(z) = -q(z_K) + c^T (N^2 M^2 - M) c.  Since det M >= 1,
+      trace(M)^(k-1) >= 1/lambda_min(M), so N^2 > trace(M)^(k-1) is chosen
+      up front; after that a failed leading-minor test in LLL means -q is
+      not positive definite on K, and raises SignatureError at once.
+    - The first m reduced rows are tested exactly for A z = 0.  If they
+      pass, they are m independent vectors of K inside a unimodular basis,
+      so they are a basis of the saturated K, and lam[:m], d[:m+1] are the
+      Gram-Schmidt data of -q on it.  Otherwise the bits of N double.
+    - The test cannot fail once N^2 > trace(M)^(k-1) + 2^(n-1) lambda_m,
+      lambda_m the m-th minimum of -q on K: a vector off K has
+      w = A z != 0, so Q_N(z) >= N^2 |w|^2 - w^T M^-1 w
+      >= N^2 - trace(M)^(k-1), while LLL (delta 3/4) keeps each of the
+      first m reduced rows within 2^(n-1) lambda_m in Q_N.  -q is integral
+      on K, so by Minkowski lambda_m <= gamma_m^m |det K|, with
+      |det K| <= |det G| det M and gamma_m <= 1 + m/4.  Past that cap a
+      failed test raises InvariantViolation, so the loop ends after a few
+      doublings.
+
+    start = (S, S G S^T) of an earlier answer on the same Gram (the Gram
+    may be None, as a cold answer leaves it) warm-starts the reduction:
+    S Q_N S^T is reduced and composed with S.  Only speed depends on it.
+    A cold answer leaves U G U^T as None; a warm one carries it, from the
+    reducing transform, which is sparse when S was nearly reduced.
+    TypeError on a non-integer Gram entry.
+    """
+    n, k = len(gram), len(rows)
+    m = n - k
+    table: dict[int, list[IntVec]] = {t: [] for t in norms}
+    r = [clear_denominators(row) for row in rows]
+    a = [mat_vec(gram, row) for row in r]
+    mm = [[dot(ai, rj) for rj in r] for ai in a]
+    floor = sum(mm[i][i] for i in range(k)) ** (k - 1) if k else 0
+    s, gram_s = start or (None, gram)
+    if s is not None:
+        if gram_s is None:
+            gram_s = mat_mul(s, list(zip(*mat_mul(s, gram))))
+        a = [mat_vec(s, ai) for ai in a]  # A S^T: the rows in the coordinates of S
+    penalty = mat_mul(list(zip(*a)), a) if k else [[0] * n for _ in range(n)]
+    bits = _PENALTY_BITS
+    while 4 ** bits <= floor:
+        bits *= 2
+    cap = None
+    while True:
+        weight = 4 ** bits  # N^2
+        q = [[weight * p - g for p, g in zip(prow, grow)] for prow, grow in zip(penalty, gram_s)]
+        try:
+            u, lam, d = lll_gram(q)
+        except ValueError:
+            raise SignatureError(
+                "enumeration requires a form negative definite orthogonal to %d rows; "
+                "ambient inertia %s" % (k, inertia(gram))
+            ) from None
+        if not any(dot(ai, z) for z in u[:m] for ai in a):
+            break
+        if cap is None:
+            gamma = -(-(m + 4) ** m // 4 ** m)  # ceil((1 + m/4)^m)
+            cap = floor + 2 ** (n - 1) * gamma * abs(det_bareiss(gram)) * det_bareiss(mm)
+        if weight > cap:
+            raise InvariantViolation(
+                "penalty reduction missed the complement of %d rows past its proved bound" % k
+            )
+        bits *= 2
+    for x, t in short_vectors(lam[:m], d[:m + 1], -min(table), [0] * m, table):
+        table[t].append(x)
+    if s is None:
+        return (u, None), table
+    return (mat_mul(u, s), mat_mul(u, list(zip(*mat_mul(u, gram_s))))), table
+
+
+def _primitive_walls(u: Sequence[IntVec], table: dict[int, list[IntVec]]) -> list[WallReport]:
+    """The walls of a _walls_orthogonal answer: the primitive hits mapped
+    through U and sign-normalized, sorted by class."""
+    reports = [
+        WallReport(wall_class=sign_normalize(combine_rows(x, u[:len(x)])), norm=t)
+        for t, hits in table.items()
+        for x in hits
+        if content(x) == 1
+    ]
+    reports.sort(key=lambda rep: rep.wall_class)
+    return reports
 
 
 def enumerate_vectors_of_norm(
@@ -130,37 +224,9 @@ def enumerate_vectors_of_norm(
     target = _integer(target, "target norm")
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
-    u, table = _negative_definite_search(gram, [target])
+    (u, _), table = _walls_orthogonal(gram, (), [target])
     hits = [combine_rows(x, u) for x in table[target]]
     return sorted(hits + [tuple(-c for c in z) for z in hits])
-
-
-def walls_in_sublattice(
-    gram: Sequence[Sequence[int]],
-    basis: Sequence[Sequence[int]],
-    norms: NormTargetSet,
-) -> list[WallReport]:
-    """The primitive classes z of the sublattice spanned by the rows of
-    basis with q(z, z) in the target set, one per +- pair, as
-    sign-normalized wall reports sorted by class (coordinates of gram).
-
-    basis must be saturated (the integer points of its rational span).
-    Fincke-Pohst answers with one x of each +- pair, in the coordinates of
-    the LLL-reduced basis U . basis, which is saturated too since U is
-    unimodular, so z is primitive exactly when x is; primitivity is decided
-    on x, and only the kept x are mapped to z = (x . U) . basis (a fiber
-    plane test mostly keeps none, so U . basis is not formed).  The form
-    must be negative definite on the sublattice: SignatureError otherwise.
-    """
-    u, table = _negative_definite_search(gram_restrict(basis, gram), norms)
-    reports = [
-        WallReport(wall_class=sign_normalize(combine_rows(combine_rows(x, u), basis)), norm=m)
-        for m, hits in table.items()
-        for x in hits
-        if content(x) == 1
-    ]
-    reports.sort(key=lambda r: r.wall_class)
-    return reports
 
 
 def mbm_candidates_in_complement(
@@ -174,9 +240,9 @@ def mbm_candidates_in_complement(
 
     Requires the ambient signature to be (dim S, rank - dim S) so the
     complement is negative definite and the search finite.  Rows that
-    span a positive-definite space are independent, and the walls do not
-    depend on the basis of the complement, so the complement is searched
-    as the kernel leaves it.
+    span a positive-definite space are independent, which is what the
+    one penalty-form reduction of _walls_orthogonal needs: it finds the
+    walls orthogonal to the rows without forming the complement.
     """
     norms = NormTargetSet.coerce(norms)
     basis = list(subspace)
@@ -192,7 +258,8 @@ def mbm_candidates_in_complement(
             "complement of a %d-dimensional positive subspace in signature "
             "(%d, %d) is not negative definite" % (len(basis), p, nneg)
         )
-    return walls_in_sublattice(lattice.gram, lattice._complement(basis), norms)
+    (u, _), table = _walls_orthogonal(lattice.gram, basis, norms)
+    return _primitive_walls(u, table)
 
 
 def _require_hyperbolic(lattice: BBFLattice) -> None:
@@ -266,15 +333,16 @@ def wall_classes_through(
     """All primitive walls containing h: classes z with q(z,z) in the
     target set and q(z,h) = 0, sorted by class.
 
-    It is the one search of separating_walls on the segment from h to h:
-    with h' the denominator-cleared h, such a z has
-    phi(z) = 2 q(z,h')^2 - q(h',h') q(z,z) = |q(z,z)| q(h',h'), so the
-    bound there, at u = v = h, is M q(h',h')."""
+    h-perp is negative definite in signature (1, k), so this is the one
+    penalty-form reduction of _walls_orthogonal with the row h: a search
+    on the slab q(z,h) = 0 alone, whose ellipsoid shrinks as q(h,h)
+    grows."""
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)
     h = vec_rat(h)
     _require_positive(lattice, "h", h)
-    return _segment_walls(lattice, h, h, norms)[0]
+    (u, _), table = _walls_orthogonal(lattice.gram, [h], norms)
+    return _primitive_walls(u, table)
 
 
 def chamber_membership(

@@ -44,6 +44,20 @@ def mat_vec(m: Sequence[Sequence[Rational]], v: Sequence[Rational]) -> list[Rati
     return [dot(row, v) for row in m]
 
 
+def mat_mul(a: Sequence[Sequence[Rational]], b: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
+    """The matrix product a . b (b non-empty), each row of it a combination
+    of the rows of b in which a zero coefficient costs nothing, so a sparse
+    a is cheap."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for c, brow in zip(row, b):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 def gram_restrict(basis: Sequence[Sequence[Rational]], gram: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
     """basis . gram . basis^T for a set of row vectors."""
     gb = [mat_vec(gram, row) for row in basis]
@@ -415,16 +429,17 @@ def short_vectors(
     ell; callers map back (combine_rows(x, U)) only the vectors they keep.
     With ell = 0, tau = -phi(x).
 
-    The last coordinate is not walked: with x[1:] fixed, the shell
-    condition is an integer quadratic in x[0] (see _last_coordinate), and
-    only its integral roots inside the interval allowed by the bound are
-    reported.  Pruning is all-integer: exact cross-multiplications of
-    unreduced fractions.  The x reported is the one whose last nonzero
-    coordinate is positive.  Rank 0 gives []."""
+    The last coordinate is not walked: with x[1:] fixed, an interval of
+    at most two points has each point's shell value read and looked up in
+    targets; on a longer one the shell condition is an integer quadratic
+    in x[0] (see _last_coordinate), and only its integral roots inside the
+    interval allowed by the bound are reported.  Pruning is all-integer:
+    exact cross-multiplications of unreduced fractions.  The x reported is
+    the one whose last nonzero coordinate is positive.  Rank 0 gives []."""
     n = len(lam)
     results: list[tuple[IntVec, int]] = []
     if n:
-        _descend(lam, d, bound, ell, tuple(targets), [0] * n, results, n - 1, bound, 1, 0, True)
+        _descend(lam, d, bound, ell, frozenset(targets), [0] * n, results, n - 1, bound, 1, 0, True)
     return results
 
 
@@ -443,12 +458,25 @@ def _descend(lam, d, bound, ell, targets, x, results, j, t_num, t_den, h, top) -
         # for every x0; phi is integral, so room = d1 t_num/t_den is an
         # integer, and x0 is inside the interval exactly when s^2 <= room
         room = dj1 * t_num // t_den
-        s = dj1 * (-c // dj1) + c
+        x0 = -c // dj1
+        s = dj1 * x0 + c
         if s * s > room and (s + dj1) ** 2 > room:
             return  # neither point next to the center fits
+        g = ell[0]
+        if room < dj1 * dj1:
+            # the interval is shorter than 2, so it holds at most these two
+            # points: read each one's shell value, with
+            # phi(x) = bound + (s^2 - room)/d1
+            for x0, s in ((x0, s), (x0 + 1, s + dj1)):
+                if s * s <= room and (x0 > 0 or not top):
+                    tau = 2 * (g * x0 + h) ** 2 - bound - (s * s - room) // dj1
+                    if tau in targets:
+                        x[0] = x0
+                        results.append((tuple(x), tau))
+            x[0] = 0
+            return
         # 2 (g x0 + h)^2 - phi(x) = tau is, times d1,
         # a x0^2 + 2 b x0 + k0 + d1 tau = 0
-        g = ell[0]
         a = dj1 * (dj1 - 2 * g * g)
         b = dj1 * (c - 2 * g * h)
         k0 = c * c + dj1 * (bound - 2 * h * h) - room

@@ -166,18 +166,13 @@ class BBFLattice:
     def restricted_gram(self, basis: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
         return gram_restrict(self._exact_rows(basis), self.gram)
 
-    def _complement(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
-        """A basis, in no normal form, of the saturated sublattice
-        {z integral : q(z, s) = 0 for all rows s of basis}."""
-        rows = self._exact_rows(basis)
-        return kernel_int([clear_denominators(mat_vec(self.gram, row)) for row in rows], self.rank)
-
     def orthogonal_complement_integral(self, basis: Sequence[Sequence[Rational]]) -> list[IntVec]:
         """Basis (in row Hermite normal form) of the saturated sublattice
         {z integral : q(z, s) = 0 for all rows s of basis}.
         InvariantViolation unless the rows of basis are independent: the
         form is nondegenerate, so dependent rows leave a larger kernel."""
-        kernel = self._complement(basis)
+        rows = self._exact_rows(basis)
+        kernel = kernel_int([clear_denominators(mat_vec(self.gram, row)) for row in rows], self.rank)
         if len(kernel) > self.rank - len(basis):
             raise InvariantViolation("orthogonal complement requires a full-row-rank basis")
         return hnf(kernel)

@@ -15,9 +15,11 @@ from typing import Iterable, Sequence
 
 from .enumeration import (
     NormTargetSet,
+    ReducedBasis,
     WallReport,
+    _primitive_walls,
+    _walls_orthogonal,
     mbm_candidates_in_complement,
-    walls_in_sublattice,
 )
 from .exactlinalg import (
     IntVec,
@@ -255,7 +257,10 @@ class _FiberFrame:
     vectors used to aim random plane draws into the (thin) positive cone.
 
     Planes are tested in frame coordinates: plane_walls finds the wall
-    classes of a plane, which to_ambient maps back.
+    classes of a plane, which to_ambient maps back, by one penalty-form
+    reduction on the frame Gram with the plane's two rows.  The frame
+    lattice is the same for every plane over x, so along a path each
+    plane's reduced basis warm-starts the next plane's reduction.
     """
 
     def __init__(self, lattice: BBFLattice, x: Sequence[Rational], norms: NormTargetSet):
@@ -345,13 +350,19 @@ class _FiberFrame:
         qvv = dot(v, mat_vec(self.gram_n, v))
         return quu * qvv - quv * quv > 0
 
-    def plane_walls(self, u: Sequence[int], v: Sequence[int]) -> list[WallReport]:
-        """The wall classes, in frame coordinates, orthogonal to x, u and v:
-        walls_in_sublattice on the saturated complement of the plane, which
-        is negative definite when plane_shape holds.  Empty exactly when the
-        plane's 3-space passes the period-image test."""
-        complement = kernel_int([mat_vec(self.gram_n, u), mat_vec(self.gram_n, v)])
-        return walls_in_sublattice(self.gram_n, complement, self.norms)
+    def plane_walls(
+        self, u: Sequence[int], v: Sequence[int], start: ReducedBasis | None = None
+    ) -> tuple[list[WallReport], ReducedBasis]:
+        """(walls, basis): the wall classes, in frame coordinates,
+        orthogonal to x, u and v, from _walls_orthogonal with the rows u, v
+        on the frame Gram, which is negative definite on their complement
+        when plane_shape holds.  The walls are empty exactly when the
+        plane's 3-space passes the period-image test.  basis is the
+        reduced basis with its Gram (None after a cold call); the next
+        plane of a path passes it back as start.  start changes only the
+        speed, never the walls."""
+        basis, table = _walls_orthogonal(self.gram_n, (u, v), self.norms, start)
+        return _primitive_walls(basis[0], table), basis
 
 
 # draw budgets of the fiber samplers, and the path attempts per pair
@@ -400,7 +411,7 @@ def sample_fiber(
         )
         point = FiberPoint(frame.x, plane)
         reports = tuple(sorted(
-            (WallReport(sign_normalize(frame.to_ambient(w.wall_class)), w.norm) for w in frame.plane_walls(u, v)),
+            (WallReport(sign_normalize(frame.to_ambient(w.wall_class)), w.norm) for w in frame.plane_walls(u, v)[0]),
             key=lambda r: r.wall_class,
         ))
         out.append(FiberSample(point=point, accepted=not reports, witnesses=reports))
@@ -410,7 +421,7 @@ def sample_fiber(
 def _sample_accepted(frame: _FiberFrame, rng: random.Random):
     for _ in range(_ACCEPT_TRIES):
         u, v = _sample_plane(frame, rng)
-        if not frame.plane_walls(u, v):
+        if not frame.plane_walls(u, v)[0]:
             return u, v
     raise InvariantViolation("could not sample an accepted fiber point")
 
@@ -468,6 +479,7 @@ def fiber_connectivity_experiment(
             cu = [u0[i] + u1[i] + du[i] for i in range(m)]
             cv = [v0[i] + v1[i] + dv[i] for i in range(m)]
             good = True
+            start = None  # each plane warm-starts the next one's reduction
             for k in range(1, steps):
                 s0, s1, s2 = (steps - k) ** 2, k * (steps - k), k * k
                 uk = primitive_part([s0 * u0[i] + s1 * cu[i] + s2 * u1[i] for i in range(m)])
@@ -477,7 +489,8 @@ def fiber_connectivity_experiment(
                     geo_rejects += 1
                     good = False
                     break
-                if frame.plane_walls(uk, vk):
+                walls, start = frame.plane_walls(uk, vk, start)
+                if walls:
                     wall_hits += 1
                     good = False
                     break

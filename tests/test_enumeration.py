@@ -5,19 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbf import enumeration
 from bbf.enumeration import (
     NormTargetSet,
     OnWallError,
     WallReport,
+    _primitive_walls,
+    _walls_orthogonal,
     chamber_membership,
     enumerate_vectors_of_norm,
     mbm_candidates_in_complement,
     same_kahler_chamber,
     separating_walls,
     wall_classes_through,
-    walls_in_sublattice,
 )
-from bbf.exactlinalg import content, det_bareiss, sign_normalize
+from bbf.exactlinalg import content, det_bareiss, integral_gso, sign_normalize
 from bbf.lattice import (
     BBFLattice,
     DimensionMismatch,
@@ -28,6 +30,8 @@ from bbf.lattice import (
     e8_matrix,
     hyperbolic_plane,
 )
+
+from oracles import walls_in_sublattice
 
 E1F1 = (1, 1, 0, 0, 0, 0)
 E2F2 = (0, 0, 1, 1, 0, 0)
@@ -242,6 +246,82 @@ class TestWallsInSublattice:
     def test_non_negative_definite_raises_signature_error(self, lat_u3, basis):
         with pytest.raises(SignatureError):
             walls_in_sublattice(lat_u3.gram, basis, NormTargetSet([-2]))
+
+
+class TestWallsOrthogonal:
+    # the penalty-form kernel against the complement route
+    def test_row_h_cold_and_warm_on_u_plus_e8(self):
+        lat = BBFLattice(HYPERBOLIC["U+E8(-1)"])
+        rng = random.Random(12)
+        start, hits = None, 0
+        for trial in range(16):
+            if trial % 2:
+                # large entries, for large Gram entries in the reduction
+                h = [rng.randint(40, 80), rng.randint(40, 80)] + [rng.randint(-9, 9) for _ in range(8)]
+            else:
+                h = random_positive(lat, rng, rational=trial % 4 == 2)
+            expect = complement_route(lat, h, [-2, -4])
+            basis, table = _walls_orthogonal(lat.gram, [h], [-2, -4])
+            assert _primitive_walls(basis[0], table) == expect
+            start, table = _walls_orthogonal(lat.gram, [h], [-2, -4], start)
+            assert _primitive_walls(start[0], table) == expect
+            hits += bool(expect)
+        assert hits
+
+    def test_doubling_of_n(self, monkeypatch):
+        # a penalty of N = 2 is too weak for these rows; the kernel doubles
+        # the bits of N until the reduced rows lie in the complement
+        lat = BBFLattice(HYPERBOLIC["U+E8(-1)"])
+        calls = []
+        lll = enumeration.lll_gram
+        monkeypatch.setattr(enumeration, "lll_gram", lambda q: calls.append(1) or lll(q))
+        monkeypatch.setattr(enumeration, "_PENALTY_BITS", 1)
+        rng = random.Random(3)
+        doubled = 0
+        for trial in range(8):
+            h = random_positive(lat, rng, rational=False)
+            del calls[:]
+            basis, table = _walls_orthogonal(lat.gram, [h], [-2, -4])
+            assert _primitive_walls(basis[0], table) == complement_route(lat, h, [-2, -4])
+            doubled += len(calls) > 1
+        assert doubled
+
+    @pytest.mark.parametrize(
+        "gram, rows",
+        [
+            (direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane()), [E1F1]),
+            (direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane()), [E1F1, E2F2]),
+            (direct_sum(hyperbolic_plane(), [[-2]]), []),
+            (direct_sum(hyperbolic_plane(), [[2]]), [(1, 1, 0)]),
+        ],
+    )
+    def test_complement_not_negative_definite_raises(self, monkeypatch, gram, rows):
+        # N^2 M > I from the first reduction on, so one failed leading-minor
+        # test is a SignatureError, never a retry
+        calls = []
+        lll = enumeration.lll_gram
+        monkeypatch.setattr(enumeration, "lll_gram", lambda q: calls.append(1) or lll(q))
+        with pytest.raises(SignatureError):
+            _walls_orthogonal(gram, rows, [-2])
+        assert len(calls) == 1
+
+    def test_missed_complement_raises_past_the_cap(self, monkeypatch):
+        # an LLL that does not reduce never puts its first rows into h-perp;
+        # the loop stops at the proved cap instead of doubling forever
+        calls = []
+
+        def unreduced(q):
+            calls.append(1)
+            lam, d = integral_gso(q)
+            return [tuple(int(i == j) for j in range(len(q))) for i in range(len(q))], lam, d
+
+        monkeypatch.setattr(enumeration, "lll_gram", unreduced)
+        monkeypatch.setattr(enumeration, "_PENALTY_BITS", 1)
+        lat = BBFLattice(HYPERBOLIC["U+<-2>"])
+        with pytest.raises(InvariantViolation):
+            _walls_orthogonal(lat.gram, [(1, 1, 0)], [-2])
+        # cap 1 + 2^2 * 3 * |det G| 2 * det M 2 = 49: N^2 = 4, 16, 256
+        assert len(calls) == 3
 
 
 class TestWallsThrough:

@@ -287,16 +287,15 @@ def test_short_vectors_on_huge_gram_entries():
 
 def _record_branches(monkeypatch):
     """Wrap the last level of the search: the set of level-0 branches taken
-    ("two roots", "double root", "linear", "walk", "empty interval")."""
+    ("two roots", "double root", "linear", "walk", "empty interval",
+    "points read")."""
     import bbf.exactlinalg as xl
 
     seen = set()
-    calls = {"level0": 0, "solved": 0, "targets": 1}
     solve, descend = xl._last_coordinate, xl._descend
 
     def solve_traced(a, b, k):
         roots = solve(a, b, k)
-        calls["solved"] += 1
         if roots is None:
             seen.add("walk")
         elif a and len(roots) == 2:
@@ -307,13 +306,17 @@ def _record_branches(monkeypatch):
             seen.add("linear")
         return roots
 
-    def descend_traced(lam, d, bound, ell, targets, x, results, j, *rest):
+    def descend_traced(lam, d, bound, ell, targets, x, results, j, t_num, t_den, *rest):
         if j == 0:
-            calls["level0"] += 1
-            calls["targets"] = len(targets)
-        descend(lam, d, bound, ell, targets, x, results, j, *rest)
-        if j == len(x) - 1 and calls["level0"] * calls["targets"] > calls["solved"]:
-            seen.add("empty interval")
+            # the interval of x0 is (d1 x0 + c)^2 <= room
+            d1, room = d[1], d[1] * t_num // t_den
+            c = sum(lam[i][0] * x[i] for i in range(1, len(x)))
+            s = d1 * (-c // d1) + c
+            if s * s > room and (s + d1) ** 2 > room:
+                seen.add("empty interval")
+            elif room < d1 * d1:
+                seen.add("points read")
+        descend(lam, d, bound, ell, targets, x, results, j, t_num, t_den, *rest)
 
     monkeypatch.setattr(xl, "_last_coordinate", solve_traced)
     monkeypatch.setattr(xl, "_descend", descend_traced)
@@ -323,8 +326,12 @@ def _record_branches(monkeypatch):
 @pytest.mark.parametrize(
     "g, bound, ell, targets, branches",
     [
-        # |x| = 1 in Z^2: x0 = +-1 over x1 = 0, and x0 = 0 over x1 = 1
-        ([[1, 0], [0, 1]], 1, [0, 0], {-1}, {"two roots", "double root"}),
+        # |x| = 1 in Z^2: x0 = +-1 over x1 = 0, and over x1 = 1 the one
+        # point x0 = 0 is read
+        ([[1, 0], [0, 1]], 1, [0, 0], {-1}, {"two roots", "points read"}),
+        # |x| = 1 in Z^2 with room for three points over x1 = 1: the
+        # double root x0 = 0
+        ([[1, 0], [0, 1]], 2, [0, 0], {-1}, {"two roots", "double root"}),
         # phi(b0) = 2 l(b0)^2: the quadratic term vanishes
         ([[2, 1], [1, 3]], 20, [1, 0], {-3, -8, -11, 4}, {"linear"}),
         # x1 = 1 spends the whole budget, and level 0 has no point at its
@@ -337,7 +344,7 @@ def test_short_vectors_level0_branches(monkeypatch, g, bound, ell, targets, bran
     hits = search_both_signs(g, bound, ell, targets)
     assert hits == shell_oracle(g, bound, ell, targets)
     assert hits
-    assert branches <= seen
+    assert branches <= seen, seen
 
 
 @pytest.mark.parametrize("n", [3, 5, 12])
@@ -346,14 +353,19 @@ def test_short_vectors_walks_an_isotropic_first_vector(monkeypatch, n):
     # with e0 isotropic and q(e0,h) = 1, so level 0's equation has a = 0, and
     # over x = (0, 0, +-1) also b = 0 and it holds for every x0: every
     # (x0, 0, +-1) has norm -2.  The walk there must find the wall (0, 0, 1).
-    from bbf.enumeration import wall_classes_through
+    # The segment search from h runs on this phi; h is on that wall.  Its
+    # far endpoint (1, 1, 0) raises the bound so that level 0 holds more
+    # than the two points it would read one by one.
+    from bbf.enumeration import OnWallError, separating_walls
     from bbf.lattice import BBFLattice
 
     gram = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
     lat = BBFLattice(gram)
     h = (n, 1, 0)
     seen = _record_branches(monkeypatch)
-    walls = wall_classes_through(lat, h, [-2])
+    with pytest.raises(OnWallError) as err:
+        separating_walls(lat, h, (1, 1, 0), [-2])
+    walls = list(err.value.walls)
     assert "walk" in seen
     # box oracle on the same ellipsoid phi(z) <= 2 q(h,h)
     gh = mat_vec(gram, h)

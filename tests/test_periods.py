@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbf.enumeration import NormTargetSet, mbm_candidates_in_complement, walls_in_sublattice
-from bbf.exactlinalg import rank
+from bbf.enumeration import NormTargetSet, _primitive_walls, _walls_orthogonal, mbm_candidates_in_complement
+from bbf.exactlinalg import clear_denominators, gram_restrict, kernel_int, mat_vec, primitive_part, rank
 from bbf.lattice import (
     InvariantViolation,
     OrientationRelation,
@@ -16,6 +16,7 @@ from bbf.lattice import (
 from bbf.periods import (
     FiberPoint,
     _FiberFrame,
+    _sample_plane,
     HKTripleClasses,
     TwistorDirection,
     fiber_connectivity_experiment,
@@ -26,6 +27,8 @@ from bbf.periods import (
     sample_fiber,
     twistor_member,
 )
+
+from oracles import walls_in_sublattice
 
 X = (1, 1, 0, 0, 0, 0)
 Y = (0, 0, 1, 1, 0, 0)
@@ -213,13 +216,13 @@ class TestComplementOracle:
         assert outcomes == {True, False}
 
     def test_one_elimination_per_call(self, lat_k3, monkeypatch):
-        # one hnf_with_transform (the saturated kernel), and neither a
-        # rank computation nor a canonical Hermite form
+        # one penalty-form reduction, and no saturated kernel, rank
+        # computation or canonical Hermite form
         import sys
 
         from bbf import exactlinalg
 
-        calls = {"hnf_with_transform": 0, "hnf": 0, "rref": 0}
+        calls = {"hnf_with_transform": 0, "hnf": 0, "rref": 0, "lll_gram": 0}
         rows = positive_3spaces(lat_k3, 5, 1, [-2])[0]
         modules = [m for n, m in sys.modules.items() if n == "bbf" or n.startswith("bbf.")]
         for name in calls:
@@ -233,7 +236,68 @@ class TestComplementOracle:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         in_hk_period_image(lat_k3, rows, [-2])
-        assert calls == {"hnf_with_transform": 1, "hnf": 0, "rref": 0}
+        assert calls == {"hnf_with_transform": 0, "hnf": 0, "rref": 0, "lll_gram": 1}
+
+
+def complement_route(gram, rows, norms):
+    """The walls orthogonal to rows from their saturated complement:
+    kernel_int, then the restricted Gram, then the rows=() search."""
+    basis = kernel_int([clear_denominators(mat_vec(gram, r)) for r in rows], len(gram))
+    return walls_in_sublattice(gram, basis, NormTargetSet(norms))
+
+
+class TestWallsOrthogonal:
+    # the penalty-form kernel against the complement route, cold and warm
+    @pytest.mark.parametrize(
+        "name, norms, seed", [("U3", [-2, -4], 9), ("K3", [-2], 5)], ids=["U3", "K3"]
+    )
+    def test_warm_along_random_paths(self, lat_u3, lat_k3, name, norms, seed):
+        lat = lat_u3 if name == "U3" else lat_k3
+        rng = random.Random(seed)
+        while True:
+            x = tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+            if lat.q(x) > 0:
+                break
+        frame = _FiberFrame(lat, x, NormTargetSet(norms))
+        # random jumps between sampled planes, then a straight path
+        planes = [_sample_plane(frame, rng) for _ in range(8)]
+        (u0, v0), (u1, v1) = planes[:2]
+        for k in range(1, 13):
+            planes.append((
+                primitive_part([(13 - k) * a + k * b for a, b in zip(u0, u1)]),
+                primitive_part([(13 - k) * a + k * b for a, b in zip(v0, v1)]),
+            ))
+        start, tested, hits = None, 0, 0
+        for u, v in planes:
+            if not frame.plane_shape(u, v):
+                continue
+            expect = complement_route(frame.gram_n, (u, v), norms)
+            walls, start = frame.plane_walls(u, v, start)
+            assert walls == expect
+            assert frame.plane_walls(u, v)[0] == expect
+            if start[1] is not None:
+                # the carried Gram is the frame Gram in the reduced basis
+                assert start[1] == gram_restrict(start[0], frame.gram_n)
+            tested += 1
+            hits += bool(walls)
+        assert tested >= 12
+        assert 0 < hits < tested
+
+    @pytest.mark.parametrize(
+        "name, norms, seed, count", [("U3", [-2, -4], 23, 20), ("K3", [-2], 8, 8)], ids=["U3", "K3"]
+    )
+    def test_three_rows_cold_and_warm(self, lat_u3, lat_k3, name, norms, seed, count):
+        # ambient rows x, u, v; each search warm-starts from the last one
+        lat = lat_u3 if name == "U3" else lat_k3
+        start, outcomes = None, set()
+        for rows in positive_3spaces(lat, seed, count, norms):
+            expect = complement_route(lat.gram, rows, norms)
+            cold, table = _walls_orthogonal(lat.gram, rows, norms)
+            assert _primitive_walls(cold[0], table) == expect
+            start, table = _walls_orthogonal(lat.gram, rows, norms, start)
+            assert _primitive_walls(start[0], table) == expect
+            outcomes.add(bool(expect))
+        assert outcomes == {True, False}
 
 
 class TestTwistor:
