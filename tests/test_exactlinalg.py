@@ -329,14 +329,14 @@ def _record_branches(monkeypatch):
         # |x| = 1 in Z^2: x0 = +-1 over x1 = 0, and over x1 = 1 the one
         # point x0 = 0 is read
         ([[1, 0], [0, 1]], 1, [0, 0], {-1}, {"two roots", "points read"}),
-        # |x| = 1 in Z^2 with room for three points over x1 = 1: the
-        # double root x0 = 0
-        ([[1, 0], [0, 1]], 2, [0, 0], {-1}, {"two roots", "double root"}),
         # phi(b0) = 2 l(b0)^2: the quadratic term vanishes
         ([[2, 1], [1, 3]], 20, [1, 0], {-3, -8, -11, 4}, {"linear"}),
         # x1 = 1 spends the whole budget, and level 0 has no point at its
         # center -1/2
         ([[4, 2], [2, 5]], 4, [0, 0], {-4}, {"empty interval", "two roots"}),
+        # |x| = 1 in Z^2 with room for three points over x1 = 1: the
+        # double root x0 = 0
+        ([[1, 0], [0, 1]], 2, [0, 0], {-1}, {"two roots", "double root"}),
     ],
 )
 def test_short_vectors_level0_branches(monkeypatch, g, bound, ell, targets, branches):

@@ -272,11 +272,13 @@ class TestWallsOrthogonal:
             if not frame.plane_shape(u, v):
                 continue
             expect = complement_route(frame.gram_n, (u, v), norms)
+            warm = start is not None
             walls, start = frame.plane_walls(u, v, start)
             assert walls == expect
             assert frame.plane_walls(u, v)[0] == expect
-            if start[1] is not None:
-                # the carried Gram is the frame Gram in the reduced basis
+            # a warm answer carries the frame Gram in its reduced basis
+            assert (start[1] is not None) == warm
+            if warm:
                 assert start[1] == gram_restrict(start[0], frame.gram_n)
             tested += 1
             hits += bool(walls)
