@@ -23,9 +23,16 @@ def main() -> int:
     ap.add_argument("--coord-bound", type=int, default=9)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error("--samples must be at least 1")
+    if args.pairs < 0:
+        ap.error("--pairs must be non-negative")
 
     lat = BBFLattice(direct_sum(hyperbolic_plane(), [[-2 * args.k]]))
     norms = [-2 * args.k]
+    # h and -h lie on the same walls: every interior class is taken in the
+    # positive-cone component of this fixed class, so any two pair positively
+    h0 = (1, 1, 0)
     rng = random.Random(args.seed)
     bound = args.coord_bound
 
@@ -41,18 +48,15 @@ def main() -> int:
         if walls:
             on_wall += 1
         else:
-            interior.append(h)
+            interior.append(h if lat.inner(h, h0) > 0 else tuple(-c for c in h))
     print("lattice U + <%d>, wall norms %s" % (-2 * args.k, norms))
     print("positive classes drawn   %d" % drawn)
     print("exactly on a wall        %d (%.1f%%)" % (on_wall, 100 * on_wall / drawn))
 
     counts = Counter()
-    tested = 0
-    while tested < args.pairs and len(interior) >= 2:
+    tested = args.pairs if len(interior) >= 2 else 0
+    for _ in range(tested):
         u, v = rng.sample(interior, 2)
-        if lat.inner(u, v) <= 0:
-            continue
-        tested += 1
         counts[len(separating_walls(lat, u, v, norms))] += 1
     print("interior pairs tested    %d" % tested)
     for walls_between, how_many in sorted(counts.items()):

@@ -26,6 +26,7 @@ from .exactlinalg import (
     lll_gram,
     mat_mul,
     mat_vec,
+    primitive_part,
     short_vectors,
     sign_normalize,
     vec_rat,
@@ -106,7 +107,7 @@ ReducedBasis = tuple[list[list[int]], list[list[int]] | None]
 
 def _walls_orthogonal(
     gram: Sequence[Sequence[int]],
-    rows: Sequence[Sequence[Rational]],
+    rows: Sequence[Sequence[int]],
     norms: Iterable[int],
     start: ReducedBasis | None = None,
 ) -> tuple[ReducedBasis, dict[int, list[IntVec]]]:
@@ -118,9 +119,9 @@ def _walls_orthogonal(
     U[:m])), and those rows are a basis of K, so z is primitive exactly
     when x is.  rows = () searches the whole lattice.
 
-    The k rows must be independent and span a space on which q is
-    positive definite.  Let R be the rows cleared of denominators,
-    A = R G and M = R G R^T, an integral positive-definite k x k matrix.
+    The k integer rows must be independent and span a space on which q is
+    positive definite.  Let R be their primitive parts, A = R G and
+    M = R G R^T, an integral positive-definite k x k matrix.
     The search reduces
 
         Q_N = -G + N^2 A^T A,
@@ -157,7 +158,7 @@ def _walls_orthogonal(
     n, k = len(gram), len(rows)
     m = n - k
     table: dict[int, list[IntVec]] = {t: [] for t in norms}
-    r = [clear_denominators(row) for row in rows]
+    r = [primitive_part(row) for row in rows]
     a = [mat_vec(gram, row) for row in r]
     mm = [[dot(ai, rj) for rj in r] for ai in a]
     floor = sum(mm[i][i] for i in range(k)) ** (k - 1) if k else 0
@@ -245,7 +246,7 @@ def mbm_candidates_in_complement(
     walls orthogonal to the rows without forming the complement.
     """
     norms = NormTargetSet.coerce(norms)
-    basis = list(subspace)
+    basis = [clear_denominators(row) for row in subspace]
     sub_gram = lattice.restricted_gram(basis)
     if definiteness(sub_gram) is not Definiteness.POSITIVE_DEFINITE:
         raise InvariantViolation(
@@ -341,7 +342,7 @@ def wall_classes_through(
     _require_hyperbolic(lattice)
     h = vec_rat(h)
     _require_positive(lattice, "h", h)
-    (u, _), table = _walls_orthogonal(lattice.gram, [h], norms)
+    (u, _), table = _walls_orthogonal(lattice.gram, [clear_denominators(h)], norms)
     return _primitive_walls(u, table)
 
 

@@ -1,7 +1,7 @@
-"""Exact linear algebra over the integers and rationals.
-
-All routines are free of floating point: Fraction (or plain int) in,
-Fraction/int out.  Matrices are lists/tuples of row sequences; nothing
+"""Exact linear algebra, free of floating point: every elimination is
+fraction-free over the integers, and rational input is cleared of
+denominators once, at the boundary (vec_rat, clear_denominators,
+det_rational, rank).  Matrices are lists/tuples of row sequences; nothing
 here mutates its arguments unless explicitly stated.
 """
 from __future__ import annotations
@@ -72,10 +72,7 @@ def is_symmetric(m: Sequence[Sequence[Rational]]) -> bool:
 
 
 def content(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive_part(v: Sequence[int]) -> IntVec:
@@ -100,7 +97,7 @@ def _integral_multiple(v: Sequence[Rational]) -> tuple[int, list[int]]:
     """(den, den * v) with den the lcm of the denominators of v."""
     fracs = [Fraction(x) for x in v]
     den = lcm(*(f.denominator for f in fracs))
-    return den, [int(f * den) for f in fracs]
+    return den, [f.numerator * (den // f.denominator) for f in fracs]
 
 
 def clear_denominators(v: Sequence[Rational]) -> IntVec:
@@ -109,38 +106,50 @@ def clear_denominators(v: Sequence[Rational]) -> IntVec:
 
 
 # ---------------------------------------------------------------------------
-# determinants, inertia, row reduction
+# determinants, inertia, row reduction: fraction-free (Bareiss) elimination
 # ---------------------------------------------------------------------------
 
+def gauss_jordan(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
+    matrix: (rows, pivots, d).  The nonzero rows, with pivot columns
+    pivots, all have the pivot entry |d|: they are |d| times the rows of
+    the reduced row echelon form.  d is the last pivot times the sign of
+    the row swaps, det m for a square m of full rank.  TypeError on a
+    non-integer entry."""
+    rows = [[index(x) for x in row] for row in m]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        d = row_r[c]
+        # every entry is a minor of m, so each division is exact
+        for i in range(nrows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], row_r)]
+        prev = d
+        pivots.append(c)
+    if prev < 0:
+        rows = [[-x for x in row] for row in rows]
+    return rows[:len(pivots)], pivots, sign * prev
+
+
 def det_bareiss(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
+    """Determinant of an integer matrix, from gauss_jordan: 0 when it
+    finds fewer pivots than rows."""
     n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    _, pivots, d = gauss_jordan(m)
+    return d if len(pivots) == n else 0
 
 
 def det_rational(m: Sequence[Sequence[Rational]]) -> Fraction:
@@ -154,33 +163,42 @@ def det_rational(m: Sequence[Sequence[Rational]]) -> Fraction:
     return scale * det_bareiss(rows)
 
 
-def inertia(m: Sequence[Sequence[Rational]]) -> tuple[int, int, int]:
-    """Counts (positive, negative, zero) of eigenvalue signs of a symmetric
-    matrix: the signs of its exact congruence diagonalization.
+def rank(m: Sequence[Sequence[Rational]]) -> int:
+    """Rank of a rational matrix: the pivots of gauss_jordan on its rows
+    cleared of denominators."""
+    return len(gauss_jordan([_integral_multiple(row)[1] for row in m])[1])
 
-    Never touches floating point, so it is safe arbitrarily close to
-    degeneracy.
-    """
+
+def inertia(m: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Counts (positive, negative, zero) of eigenvalue signs of a symmetric
+    integer matrix: the signs of its exact congruence diagonalization, so
+    it is safe arbitrarily close to degeneracy.  A rational matrix has the
+    inertia of its positive multiples: callers clear its denominators."""
     _, diag = diagonalize_symmetric(m)
-    pos = sum(1 for d in diag if d > 0)
-    neg = sum(1 for d in diag if d < 0)
+    pos, neg = sum(d > 0 for d in diag), sum(d < 0 for d in diag)
     return pos, neg, len(diag) - pos - neg
 
 
-def diagonalize_symmetric(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Congruence diagonalization of a symmetric matrix (Lagrange
-    reduction): returns (T, diag) with T . m . T^T equal to the diagonal
-    matrix with entries diag.
+def diagonalize_symmetric(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free congruence diagonalization of a symmetric integer
+    matrix (Bareiss-style LDL^T): integer (T, diag) with T . m . T^T the
+    diagonal matrix diag; rows of T are in the original coordinates.
 
-    Rows of T express the diagonalizing basis in the original coordinates.
-    """
+    The pivot is the first nonzero diagonal entry; when all vanish, the
+    congruence e_p -> e_p + e_j on the first nonzero off-diagonal pair
+    makes one.  The live block is prev times its rational Schur
+    complement, prev the last pivot, so each division by prev is exact,
+    and a row of T is |prev| times the row of rational Lagrange reduction.
+    TypeError on a non-integer entry."""
     if not is_symmetric(m):
         raise ValueError("diagonalization needs a symmetric matrix")
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    t = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    a = [[index(x) for x in row] for row in m]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
     live = list(range(n))
-    order: list[int] = []
+    rows: list[list[int]] = []
+    diag: list[int] = []
+    prev = 1
     while live:
         p = next((i for i in live if a[i][i] != 0), None)
         if p is None:
@@ -190,7 +208,6 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fr
                 None,
             )
             if hyp is None:
-                order.extend(live)
                 break
             p, j = hyp
             # congruence e_p -> e_p + e_j turns the 2x2 hyperbolic block
@@ -201,47 +218,19 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fr
                 a[k][p] += a[k][j]
             t[p] = [x + y for x, y in zip(t[p], t[j])]
         live.remove(p)
-        order.append(p)
-        # e_i -> e_i - f e_p clears row and column p; the live block becomes
-        # its Schur complement, which stays symmetric
         d, row_p, t_p = a[p][p], a[p], t[p]
+        rows.append(t_p if prev > 0 else [-x for x in t_p])
+        diag.append(prev * d)
+        # e_i -> d e_i - a_ip e_p clears row and column p; the live block
+        # becomes d times its Schur complement, then exactly divided by prev
         for i in live:
-            f = a[i][p] / d
-            if f:
-                row_i = a[i]
-                for j in live:
-                    row_i[j] -= f * row_p[j]
-                t[i] = [x - f * y if y else x for x, y in zip(t[i], t_p)]
-    return [t[p] for p in order], [a[p][p] for p in order]
-
-
-def rref(m: Sequence[Sequence[Rational]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals, with pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r] + [[Fraction(0)] * ncols for _ in range(nrows - r)], pivots
-
-
-def rank(m: Sequence[Sequence[Rational]]) -> int:
-    return len(rref(m)[1])
+            f, row_i = a[i][p], a[i]
+            for j in live:
+                row_i[j] = (d * row_i[j] - f * row_p[j]) // prev
+            t[i] = [(d * x - f * y) // prev for x, y in zip(t[i], t_p)]
+        prev = d
+    rows += [t[i] if prev > 0 else [-x for x in t[i]] for i in live]
+    return rows, diag + [0] * len(live)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .exactlinalg import (
     IntVec,
     RatVec,
     Rational,
+    _integral_multiple,
     clear_denominators,
     det_bareiss,
     det_rational,
@@ -77,12 +78,13 @@ class Definiteness(enum.Enum):
 
 
 def definiteness(gram: Sequence[Sequence[Rational]]) -> Definiteness:
-    """Exact classification of a symmetric rational matrix by inertia."""
+    """Exact classification of a symmetric rational matrix by inertia, read
+    on its multiple by the positive lcm of its denominators."""
     if not is_symmetric(gram):
         raise InvariantViolation("definiteness needs a symmetric matrix")
-    if len(gram) == 0:
-        return Definiteness.POSITIVE_DEFINITE
-    p, n, z = inertia(gram)
+    k = len(gram)
+    flat = _integral_multiple([x for row in gram for x in row])[1]
+    p, n, z = inertia([flat[i * k:(i + 1) * k] for i in range(k)])
     if z > 0:
         return Definiteness.DEGENERATE
     if n == 0:

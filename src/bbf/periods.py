@@ -29,12 +29,12 @@ from .exactlinalg import (
     combine_rows,
     diagonalize_symmetric,
     dot,
+    gauss_jordan,
     gram_restrict,
     kernel_int,
     lll_gram,
     mat_vec,
     primitive_part,
-    rref,
     sign_normalize,
     vec_rat,
 )
@@ -276,9 +276,7 @@ class _FiberFrame:
         self.lattice = lattice
         self.x = x
         self.norms = norms
-        x_int = clear_denominators(x)
-        constraint = [int(c) for c in mat_vec(lattice.gram, x_int)]
-        basis = kernel_int([constraint])
+        basis = kernel_int([mat_vec(lattice.gram, clear_denominators(x))])
         # improve coordinates: Euclidean LLL keeps later Gram entries small
         euclid = [[dot(r1, r2) for r2 in basis] for r1 in basis]
         u = lll_gram(euclid)[0]
@@ -296,46 +294,51 @@ class _FiberFrame:
 
     def _seed_pair(self) -> tuple[list[int], list[int]]:
         """Two orthogonal positive integer vectors in the complement of x,
-        found by exact diagonalization: take a positive-definite 3-space of
-        the ambient form, cut the span of it and x with the hyperplane
-        orthogonal to x, and diagonalize the restriction.  At least two
-        positive directions always survive in signature (3, k).
+        found by integer elimination: take the positive rows of the ambient
+        diagonalization, cut their span with x by the hyperplane orthogonal
+        to x, and diagonalize the restriction.  At least two positive
+        directions always survive in signature (3, k).  The echelon rows
+        s_j of the span share one positive scale, and so do the cut rows
+        w_j = sign(c_p) (c_p s_j - c_j s_p), c_j = q(s_j, x), so each
+        primitive seed is the one rational elimination would give.
 
-        Each seed a is placed in the frame by the Gram: its coordinates c
-        solve c . gram_n = basis . G . a, and are integral because the
-        frame is saturated (InvariantViolation otherwise)."""
-        lat = self.lattice
+        The seeds a are placed in the frame by one solve: their coordinates
+        c solve gram_n . c = basis . G . a, read off the echelon form of
+        [gram_n | r1 r2], and are integral because the frame is saturated
+        (InvariantViolation otherwise)."""
+        gram = self.lattice.gram
         # three positive rows: inertia, which the constructor checked, is
         # the sign count of this same diagonalization
-        t, diag = diagonalize_symmetric(lat.gram)
-        pos_rows = [row for row, dv in zip(t, diag) if dv > 0]
-        stack = [list(self.x)] + [list(r) for r in pos_rows]
-        reduced, pivots = rref(stack)
-        span = reduced[:len(pivots)]
-        # cut_j = q(span_j, x); x is in the span, so some cut_j is nonzero
-        gx = mat_vec(lat.gram, self.x)
+        t, diag = diagonalize_symmetric(gram)
+        x = clear_denominators(self.x)
+        span = gauss_jordan([x] + [row for row, dv in zip(t, diag) if dv > 0])[0]
+        # c_j = q(s_j, x); x is in the span, so some c_j is nonzero
+        gx = mat_vec(gram, x)
         cut = [dot(row, gx) for row in span]
         p = next(j for j, c in enumerate(cut) if c != 0)
+        if cut[p] < 0:
+            cut = [-c for c in cut]
         w_rows = [
-            [a - (cut[j] / cut[p]) * b for a, b in zip(span[j], span[p])]
+            [cut[p] * a - cut[j] * b for a, b in zip(span[j], span[p])]
             for j in range(len(span)) if j != p
         ]
-        tw, dw = diagonalize_symmetric(gram_restrict(w_rows, lat.gram))
-        seeds = [clear_denominators(combine_rows(trow, w_rows)) for trow, dv in zip(tw, dw) if dv > 0]
+        tw, dw = diagonalize_symmetric(gram_restrict(w_rows, gram))
+        seeds = [primitive_part(combine_rows(trow, w_rows)) for trow, dv in zip(tw, dw) if dv > 0]
         if len(seeds) < 2:
             raise InvariantViolation(
                 "complement of a positive class must contain a positive plane; found %d "
                 "positive directions" % len(seeds)
             )
-        # c = gram_n^-1 . r = ((T . r) / D) . T for T . gram_n . T^T = D
-        tn, dn = diagonalize_symmetric(self.gram_n)
+        # gram_n is symmetric and nonsingular: its echelon rows are
+        # |det| [I | C], C the two seeds' coordinates as columns
+        rhs = [mat_vec(self.basis, mat_vec(gram, a)) for a in seeds[:2]]
+        rows, _, det = gauss_jordan([g + [r1, r2] for g, r1, r2 in zip(self.gram_n, *rhs)])
         placed = []
-        for a in seeds:
-            r = mat_vec(self.basis, mat_vec(lat.gram, a))
-            c = combine_rows([dot(trow, r) / dv for trow, dv in zip(tn, dn)], tn)
-            if any(ci.denominator != 1 for ci in c) or self.to_ambient(c) != a:
+        for k, a in enumerate(seeds[:2]):
+            c, rest = zip(*(divmod(row[self.dim + k], abs(det)) for row in rows))
+            if any(rest) or self.to_ambient(c) != a:
                 raise InvariantViolation("seed %s is not an integral class orthogonal to x" % (a,))
-            placed.append([int(ci) for ci in c])
+            placed.append(list(c))
         return placed[0], placed[1]
 
     # -- plane tests -----------------------------------------------------------

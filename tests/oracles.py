@@ -1,4 +1,6 @@
 """Reference routes that the library no longer runs, kept as test oracles."""
+from fractions import Fraction
+
 from bbf.enumeration import WallReport, _walls_orthogonal
 from bbf.exactlinalg import combine_rows, content, gram_restrict, sign_normalize
 
@@ -18,3 +20,42 @@ def walls_in_sublattice(gram, basis, norms):
     ]
     reports.sort(key=lambda r: r.wall_class)
     return reports
+
+
+def diagonalize_rational(m):
+    """Congruence diagonalization over the rationals (Lagrange reduction),
+    with the pivot order and the hyperbolic-pair step of the library's
+    fraction-free diagonalize_symmetric: (T, diag) of Fractions with
+    T . m . T^T = diag(diag)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    live = list(range(n))
+    order = []
+    while live:
+        p = next((i for i in live if a[i][i] != 0), None)
+        if p is None:
+            hyp = next(
+                ((i, j) for k, i in enumerate(live) for j in live[k + 1:] if a[i][j] != 0),
+                None,
+            )
+            if hyp is None:
+                order.extend(live)
+                break
+            p, j = hyp
+            for k in live:
+                a[p][k] += a[j][k]
+            for k in live:
+                a[k][p] += a[k][j]
+            t[p] = [x + y for x, y in zip(t[p], t[j])]
+        live.remove(p)
+        order.append(p)
+        d, row_p, t_p = a[p][p], a[p], t[p]
+        for i in live:
+            f = a[i][p] / d
+            if f:
+                row_i = a[i]
+                for j in live:
+                    row_i[j] -= f * row_p[j]
+                t[i] = [x - f * y for x, y in zip(t[i], t_p)]
+    return [t[p] for p in order], [a[p][p] for p in order]

@@ -12,13 +12,18 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form  # noqa: E402
 
 from bbf.exactlinalg import (  # noqa: E402
+    clear_denominators,
     det_bareiss,
+    diagonalize_symmetric,
+    gauss_jordan,
     hnf,
     inertia,
     kernel_int,
     lll_gram,
+    primitive_part,
     rank,
 )
+from oracles import diagonalize_rational  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True)
 entry = st.integers(-6, 6)
@@ -102,6 +107,44 @@ def test_inertia_matches_the_characteristic_polynomial(m):
     zero = next(i for i, c in enumerate(reversed(coeffs)) if c != 0)
     flipped = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
     assert inertia(m) == (sign_changes(coeffs), sign_changes(flipped), zero)
+
+
+@SMALL
+@given(int_matrices())
+def test_gauss_jordan_rows_are_a_multiple_of_the_rref(m):
+    rows, pivots, d = gauss_jordan(m)
+    reduced, expect = sympy.Matrix(m).rref()
+    assert pivots == list(expect)
+    # one common scale d > 0 for every row
+    scale = abs(d)
+    assert scale > 0
+    assert rows == [[scale * x for x in reduced.row(i)] for i in range(len(pivots))]
+
+
+@SMALL
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_gauss_jordan_determinant_matches_sympy(m):
+    _, pivots, d = gauss_jordan(m)
+    assert (d if len(pivots) == len(m) else 0) == sympy.Matrix(m).det()
+
+
+@SMALL
+@given(symmetric_matrices())
+def test_diagonalize_symmetric_matches_sympy_and_the_rational_route(m):
+    t, diag = diagonalize_symmetric(m)
+    mt = sympy.Matrix(t)
+    assert mt * sympy.Matrix(m) * mt.T == sympy.diag(*diag)
+    # the diagonal signs are sympy's inertia, counted as in the test below
+    coeffs = [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+    n = len(m)
+    flipped = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+    assert sum(d > 0 for d in diag) == sign_changes(coeffs)
+    assert sum(d < 0 for d in diag) == sign_changes(flipped)
+    # each integer row is a positive multiple of the rational one
+    t_rat, diag_rat = diagonalize_rational(m)
+    assert [primitive_part(row) for row in t] == [clear_denominators(row) for row in t_rat]
+    assert [(d > 0) - (d < 0) for d in diag] == [(d > 0) - (d < 0) for d in diag_rat]
 
 
 @SMALL

@@ -19,7 +19,7 @@ from bbf.enumeration import (
     separating_walls,
     wall_classes_through,
 )
-from bbf.exactlinalg import content, det_bareiss, integral_gso, sign_normalize
+from bbf.exactlinalg import clear_denominators, content, det_bareiss, integral_gso, sign_normalize
 from bbf.lattice import (
     BBFLattice,
     DimensionMismatch,
@@ -261,9 +261,11 @@ class TestWallsOrthogonal:
             else:
                 h = random_positive(lat, rng, rational=trial % 4 == 2)
             expect = complement_route(lat, h, [-2, -4])
-            basis, table = _walls_orthogonal(lat.gram, [h], [-2, -4])
+            # the kernel takes integer rows; the public callers clear them
+            row = [clear_denominators(h)]
+            basis, table = _walls_orthogonal(lat.gram, row, [-2, -4])
             assert _primitive_walls(basis[0], table) == expect
-            start, table = _walls_orthogonal(lat.gram, [h], [-2, -4], start)
+            start, table = _walls_orthogonal(lat.gram, row, [-2, -4], start)
             assert _primitive_walls(start[0], table) == expect
             hits += bool(expect)
         assert hits
@@ -281,7 +283,7 @@ class TestWallsOrthogonal:
         for trial in range(8):
             h = random_positive(lat, rng, rational=False)
             del calls[:]
-            basis, table = _walls_orthogonal(lat.gram, [h], [-2, -4])
+            basis, table = _walls_orthogonal(lat.gram, [clear_denominators(h)], [-2, -4])
             assert _primitive_walls(basis[0], table) == complement_route(lat, h, [-2, -4])
             doubled += len(calls) > 1
         assert doubled

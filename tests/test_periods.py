@@ -216,13 +216,13 @@ class TestComplementOracle:
         assert outcomes == {True, False}
 
     def test_one_elimination_per_call(self, lat_k3, monkeypatch):
-        # one penalty-form reduction, and no saturated kernel, rank
-        # computation or canonical Hermite form
+        # one penalty-form reduction, and no saturated kernel, Gauss-Jordan
+        # elimination (rank or determinant) or canonical Hermite form
         import sys
 
         from bbf import exactlinalg
 
-        calls = {"hnf_with_transform": 0, "hnf": 0, "rref": 0, "lll_gram": 0}
+        calls = {"hnf_with_transform": 0, "hnf": 0, "gauss_jordan": 0, "lll_gram": 0}
         rows = positive_3spaces(lat_k3, 5, 1, [-2])[0]
         modules = [m for n, m in sys.modules.items() if n == "bbf" or n.startswith("bbf.")]
         for name in calls:
@@ -236,7 +236,7 @@ class TestComplementOracle:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         in_hk_period_image(lat_k3, rows, [-2])
-        assert calls == {"hnf_with_transform": 0, "hnf": 0, "rref": 0, "lll_gram": 1}
+        assert calls == {"hnf_with_transform": 0, "hnf": 0, "gauss_jordan": 0, "lll_gram": 1}
 
 
 def complement_route(gram, rows, norms):
@@ -562,6 +562,15 @@ SEED_PAIRS = [
         (0, -2, -2, -2, 2, 2, 0, 2, 2, 2, 2, 1, 0, 0, -1, -1, -1, 0, -1, -1, 0, -1),
         (9, 7, 0, 0, 0, 0, -2, -2, -2, -1, 0, 1, -2, -3, 1, 1, 0, 1, 1, 0, 1),
         (4, 0, 7, 0, 0, 0, -4, -4, -4, -2, 0, 2, -4, -6, 2, 2, 0, 2, 2, 0, 2),
+    ),
+    # the seed space's diagonalization takes the hyperbolic-pair step
+    ("U3", (1, -1, -1, -2, 1, 2), (0, 1, 1, 0, 1), (-1, 0, 0, 0, 0)),
+    # a rational base class
+    (
+        "U3",
+        (Fraction(-1, 3), Fraction(-5, 2), 1, 1, 0, Fraction(1, 7)),
+        (-6, 21, 35, 7, 0),
+        (8353, 637, -182, 273, 1183),
     ),
 ]
 
