@@ -53,6 +53,8 @@ def main() -> int:
     print("positive classes drawn   %d" % drawn)
     print("exactly on a wall        %d (%.1f%%)" % (on_wall, 100 * on_wall / drawn))
 
+    # repeated draws are one class: pair only distinct classes
+    interior = list(dict.fromkeys(interior))
     counts = Counter()
     tested = args.pairs if len(interior) >= 2 else 0
     for _ in range(tested):

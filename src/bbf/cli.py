@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand wraps one library operation and prints a single JSON
-document on stdout; diagnostics go to stderr.  All numeric payload values
+document on stdout, errors included.  All numeric payload values
 are exact: integers and rationals are rendered as strings like "2" or
 "-1/3" so nothing is ever rounded.  Exit codes: 0 ok, 1 domain error,
 2 usage error.
@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -53,7 +53,6 @@ class CommandResult:
     status: str
     payload: dict[str, Any] | None = None
     error: dict[str, Any] | None = None
-    diagnostics: list[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -459,8 +458,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(json.dumps(result.payload, separators=(", ", ": ")) + "\n")
     else:
         sys.stdout.write(json.dumps({"error": result.error}, separators=(", ", ": ")) + "\n")
-    for line in result.diagnostics:
-        sys.stderr.write(line + "\n")
     return result.exit_code
 
 

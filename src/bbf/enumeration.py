@@ -97,7 +97,7 @@ class OnWallError(InvariantViolation):
         self.walls = walls
 
 
-# log2 of the first penalty weight N of _walls_orthogonal; N decides only
+# log2 of the first penalty weight N of _wall_search; N decides only
 # how fast the reduction runs, never its answer
 _PENALTY_BITS = 40
 
@@ -105,16 +105,18 @@ _PENALTY_BITS = 40
 ReducedBasis = tuple[list[list[int]], list[list[int]] | None]
 
 
-def _walls_orthogonal(
+def _wall_search(
     gram: Sequence[Sequence[int]],
     rows: Sequence[Sequence[int]],
     norms: Iterable[int],
     start: ReducedBasis | None = None,
+    ray: Sequence[int] | None = None,
+    bound: int | None = None,
 ) -> tuple[ReducedBasis, dict[int, list[IntVec]]]:
     """Fincke-Pohst for the given negative norms on the saturated lattice
     K = {z integral : q(z, r) = 0 for every row r}, found by one LLL
-    reduction with the rows as a penalty: ((U, U G U^T), {m: [x, ...]}),
-    one x of norm m for each +- pair.  x has m = n - k coordinates, in the
+    reduction with the rows as a penalty: ((U, U G U^T), {t: [x, ...]}),
+    one x of norm t for each +- pair.  x has m = n - k coordinates, in the
     basis of the first m rows of the unimodular U (z = combine_rows(x,
     U[:m])), and those rows are a basis of K, so z is primitive exactly
     when x is.  rows = () searches the whole lattice.
@@ -124,9 +126,12 @@ def _walls_orthogonal(
     M = R G R^T, an integral positive-definite k x k matrix.
     The search reduces
 
-        Q_N = -G + N^2 A^T A,
+        Q_N = -a G + 2 (G u')(G u')^T + N^2 A^T A,
 
-    which is -q on K, since A z = 0 there.
+    which is phi(z) = 2 q(z,u')^2 - a q(z,z) on K, since A z = 0 there,
+    for the ray u' with a = q(u',u') (no ray: a = 1 and phi = -q).  It
+    keeps the x with phi <= bound (default max |t|) and 2 q(z,u')^2 - phi
+    = a t.  The floor and the cap on N below are proved with no ray.
 
     - Q_N is positive definite exactly when -q is positive definite on K
       and N^2 M > I: writing z = z_K + R^T c,
@@ -163,18 +168,27 @@ def _walls_orthogonal(
     mm = [[dot(ai, rj) for rj in r] for ai in a]
     floor = sum(mm[i][i] for i in range(k)) ** (k - 1) if k else 0
     s, gram_s = start or (None, gram)
+    gu = None if ray is None else mat_vec(gram, ray)
+    scale = 1 if ray is None else dot(ray, gu)
     if s is not None:
         if gram_s is None:
             gram_s = mat_mul(s, list(zip(*mat_mul(s, gram))))
         a = [mat_vec(s, ai) for ai in a]  # A S^T: the rows in the coordinates of S
-    penalty = mat_mul(list(zip(*a)), a) if k else [[0] * n for _ in range(n)]
+        if gu is not None:
+            gu = mat_vec(s, gu)
+    # Q_N without its penalty: -a G + 2 (G u')(G u')^T
+    if gu is None:
+        q0 = [[-g for g in grow] for grow in gram_s]
+    else:
+        q0 = [[2 * x * y - scale * g for y, g in zip(gu, grow)] for x, grow in zip(gu, gram_s)]
+    penalty = mat_mul(list(zip(*a)), a) if k else None
     bits = _PENALTY_BITS
     while 4 ** bits <= floor:
         bits *= 2
     cap = None
     while True:
         weight = 4 ** bits  # N^2
-        q = [[weight * p - g for p, g in zip(prow, grow)] for prow, grow in zip(penalty, gram_s)]
+        q = [[weight * p + g for p, g in zip(pr, gr)] for pr, gr in zip(penalty, q0)] if k else q0
         try:
             u, lam, d = lll_gram(q)
         except ValueError:
@@ -192,15 +206,18 @@ def _walls_orthogonal(
                 "penalty reduction missed the complement of %d rows past its proved bound" % k
             )
         bits *= 2
-    for x, t in short_vectors(lam[:m], d[:m + 1], -min(table), [0] * m, table):
-        table[t].append(x)
+    shells = {scale * t: t for t in table}
+    ell = [0] * m if gu is None else mat_vec(u[:m], gu)
+    bound = -min(table) if bound is None else bound
+    for x, tau in short_vectors(lam[:m], d[:m + 1], bound, ell, shells):
+        table[shells[tau]].append(x)
     if s is None:
         return (u, None), table
     return (mat_mul(u, s), mat_mul(u, list(zip(*mat_mul(u, gram_s))))), table
 
 
 def _primitive_walls(u: Sequence[IntVec], table: dict[int, list[IntVec]]) -> list[WallReport]:
-    """The walls of a _walls_orthogonal answer: the primitive hits mapped
+    """The walls of a _wall_search answer: the primitive hits mapped
     through U and sign-normalized, sorted by class."""
     reports = [
         WallReport(wall_class=sign_normalize(combine_rows(x, u[:len(x)])), norm=t)
@@ -225,7 +242,7 @@ def enumerate_vectors_of_norm(
     target = _integer(target, "target norm")
     if target >= 0:
         raise InvariantViolation("target norm must be negative, got %d" % target)
-    (u, _), table = _walls_orthogonal(gram, (), [target])
+    (u, _), table = _wall_search(gram, (), [target])
     hits = [combine_rows(x, u) for x in table[target]]
     return sorted(hits + [tuple(-c for c in z) for z in hits])
 
@@ -242,7 +259,7 @@ def mbm_candidates_in_complement(
     Requires the ambient signature to be (dim S, rank - dim S) so the
     complement is negative definite and the search finite.  Rows that
     span a positive-definite space are independent, which is what the
-    one penalty-form reduction of _walls_orthogonal needs: it finds the
+    one penalty-form reduction of _wall_search needs: it finds the
     walls orthogonal to the rows without forming the complement.
     """
     norms = NormTargetSet.coerce(norms)
@@ -259,7 +276,7 @@ def mbm_candidates_in_complement(
             "complement of a %d-dimensional positive subspace in signature "
             "(%d, %d) is not negative definite" % (len(basis), p, nneg)
         )
-    (u, _), table = _walls_orthogonal(lattice.gram, basis, norms)
+    (u, _), table = _wall_search(lattice.gram, basis, norms)
     return _primitive_walls(u, table)
 
 
@@ -278,54 +295,6 @@ def _require_positive(lattice: BBFLattice, name: str, h: RatVec) -> None:
         raise InvariantViolation("q(%s,%s) must be positive, got %s" % (name, name, qh))
 
 
-def _segment_walls(
-    lattice: BBFLattice, u: RatVec, v: RatVec, norms: NormTargetSet
-) -> tuple[list[WallReport], list[WallReport], list[WallReport]]:
-    """(walls through u, walls through v, walls crossing the segment) from
-    the one search derived in separating_walls, for positive u, v with
-    q(u,v) >= 0 in a hyperbolic lattice (the callers check this); each list
-    sorted as its public caller returns it."""
-    gram, n = lattice.gram, lattice.rank
-    u_int, v_int = clear_denominators(u), clear_denominators(v)
-    gu, gv = mat_vec(gram, u_int), mat_vec(gram, v_int)
-    a, b, c = dot(u_int, gu), dot(v_int, gu), dot(v_int, gv)
-    big_m = norms.max_abs
-    phi_gram = [[2 * gu[i] * gu[j] - a * gram[i][j] for j in range(n)] for i in range(n)]
-    # 2 q(z,u')^2 - phi(z) = a q(z,z): the search's shell values
-    scaled_norms = {a * m: m for m in norms}
-    # u = su u' and v = sv v' with su, sv > 0: the signs of q(z,u), q(z,v)
-    # are those of q(z,u'), q(z,v'), and the parameter is on the given
-    # segment.  With su = p1/p2 and sv = r1/r2 it is
-    # su qzu / (su qzu - sv qzv) = alpha qzu / (alpha qzu - beta qzv)
-    su, sv = Fraction(dot(u, gu), a), Fraction(dot(v, gu), b)
-    alpha, beta = su.numerator * sv.denominator, sv.numerator * su.denominator
-    # Fincke-Pohst answers with one x of each +- pair in the coordinates of
-    # the rows of U: q(z,u') = x . (U G u') for z = x . U, and so for v'
-    reduced, lam, d = lll_gram(phi_gram)
-    gu_red, gv_red = mat_vec(reduced, gu), mat_vec(reduced, gv)
-    through_u, through_v, crossing = [], [], []
-    bound = 2 * big_m * b * b // c - big_m * a
-    for x, tau in short_vectors(lam, d, bound, gu_red, scaled_norms):
-        qzu, qzv = sum(map(mul, x, gu_red)), sum(map(mul, x, gv_red))
-        # z is primitive exactly when x is (U is unimodular)
-        if qzu * qzv > 0 or content(x) != 1:
-            continue
-        m = scaled_norms[tau]
-        z = sign_normalize(combine_rows(x, reduced))
-        if qzu == 0:
-            through_u.append(WallReport(wall_class=z, norm=m))
-        if qzv == 0:
-            through_v.append(WallReport(wall_class=z, norm=m))
-        if qzu * qzv < 0:
-            # alpha, beta > 0, so the denominator is nonzero
-            t = Fraction(alpha * qzu, alpha * qzu - beta * qzv)
-            crossing.append(WallReport(wall_class=z, norm=m, crossing_parameter=t))
-    through_u.sort(key=lambda r: r.wall_class)
-    through_v.sort(key=lambda r: r.wall_class)
-    crossing.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
-    return through_u, through_v, crossing
-
-
 def wall_classes_through(
     lattice: BBFLattice,
     h: Sequence[Rational],
@@ -335,14 +304,14 @@ def wall_classes_through(
     target set and q(z,h) = 0, sorted by class.
 
     h-perp is negative definite in signature (1, k), so this is the one
-    penalty-form reduction of _walls_orthogonal with the row h: a search
+    penalty-form reduction of _wall_search with the row h: a search
     on the slab q(z,h) = 0 alone, whose ellipsoid shrinks as q(h,h)
     grows."""
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)
     h = vec_rat(h)
     _require_positive(lattice, "h", h)
-    (u, _), table = _walls_orthogonal(lattice.gram, [clear_denominators(h)], norms)
+    (u, _), table = _wall_search(lattice.gram, [clear_denominators(h)], norms)
     return _primitive_walls(u, table)
 
 
@@ -393,28 +362,61 @@ def separating_walls(
     through v (t = 1) obey the same inequality: they are the candidates
     with q(z,u') = 0 or q(z,v') = 0.
 
-    The search is short_vectors with l(z) = q(z,u') and the targets
-    a m for the norms m: 2 q(z,u')^2 - phi(z) = a q(z,z), so it reports
-    only the z on a norm shell (its last coordinate solves that equation
-    instead of walking its interval).  Each candidate then needs only the
-    sign test q(z,u') q(z,v') <= 0, the primitivity test and, when it
-    crosses, its parameter.
+    The search is _wall_search with no rows and the ray u': its shell
+    values 2 q(z,u')^2 - phi(z) = a q(z,z) report only the z on a norm
+    shell.  Each candidate then needs only the sign test
+    q(z,u') q(z,v') <= 0, the primitivity test and, when it crosses, its
+    parameter.
     """
     norms = NormTargetSet.coerce(norms)
     _require_hyperbolic(lattice)
-    u, v = vec_rat(u), vec_rat(v)
-    _require_positive(lattice, "u", u)
-    _require_positive(lattice, "v", v)
-    quv = lattice.inner(u, v)
-    if quv < 0:
-        raise InvariantViolation(
-            "endpoints lie in opposite positive-cone components (q(u,v) = %s)" % (quv,)
-        )
-    walls_u, walls_v, crossing = _segment_walls(lattice, u, v, norms)
-    for name, walls in (("u", walls_u), ("v", walls_v)):
+    u, v = lattice._exact_rows((u, v))
+    gram = lattice.gram
+    u_int, v_int = clear_denominators(u), clear_denominators(v)
+    gu, gv = mat_vec(gram, u_int), mat_vec(gram, v_int)
+    a, b, c = dot(u_int, gu), dot(v_int, gu), dot(v_int, gv)
+    # u', v' are positive multiples of u, v, so every sign read on them is
+    # that of u, v; the lattice's form is called only to word an error
+    for name, h, qh in (("u", u, a), ("v", v, c)):
+        if qh <= 0:
+            _require_positive(lattice, name, h)
+    if b < 0:
+        quv = lattice.inner(u, v)
+        message = "endpoints lie in opposite positive-cone components (q(u,v) = %s)" % (quv,)
+        raise InvariantViolation(message)
+    big_m = norms.max_abs
+    bound = 2 * big_m * b * b // c - big_m * a
+    (reduced, _), table = _wall_search(gram, (), norms, ray=u_int, bound=bound)
+    # with u = su u', v = sv v' and su = p1/p2, sv = r1/r2, the parameter
+    # on the given segment is
+    # su qzu / (su qzu - sv qzv) = alpha qzu / (alpha qzu - beta qzv)
+    su, sv = Fraction(dot(u, gu), a), Fraction(dot(v, gu), b)
+    alpha, beta = su.numerator * sv.denominator, sv.numerator * su.denominator
+    # the hits are in the coordinates of the rows of U:
+    # q(z,u') = x . (U G u') for z = x . U, and so for v'
+    gu_red, gv_red = mat_vec(reduced, gu), mat_vec(reduced, gv)
+    through_u, through_v, crossing = [], [], []
+    for m, hits in table.items():
+        for x in hits:
+            qzu, qzv = sum(map(mul, x, gu_red)), sum(map(mul, x, gv_red))
+            # z is primitive exactly when x is (U is unimodular)
+            if qzu * qzv > 0 or content(x) != 1:
+                continue
+            z = sign_normalize(combine_rows(x, reduced))
+            if qzu == 0:
+                through_u.append(WallReport(wall_class=z, norm=m))
+            if qzv == 0:
+                through_v.append(WallReport(wall_class=z, norm=m))
+            if qzu * qzv < 0:
+                # alpha, beta > 0, so the denominator is nonzero
+                t = Fraction(alpha * qzu, alpha * qzu - beta * qzv)
+                crossing.append(WallReport(wall_class=z, norm=m, crossing_parameter=t))
+    for name, walls in (("u", through_u), ("v", through_v)):
         if walls:
+            walls.sort(key=lambda r: r.wall_class)
             message = "endpoint %s lies on walls %s" % (name, [w.wall_class for w in walls])
             raise OnWallError(message, tuple(walls))
+    crossing.sort(key=lambda r: (r.crossing_parameter, r.wall_class))
     return crossing
 
 

@@ -18,7 +18,7 @@ from .enumeration import (
     ReducedBasis,
     WallReport,
     _primitive_walls,
-    _walls_orthogonal,
+    _wall_search,
     mbm_candidates_in_complement,
 )
 from .exactlinalg import (
@@ -357,14 +357,14 @@ class _FiberFrame:
         self, u: Sequence[int], v: Sequence[int], start: ReducedBasis | None = None
     ) -> tuple[list[WallReport], ReducedBasis]:
         """(walls, basis): the wall classes, in frame coordinates,
-        orthogonal to x, u and v, from _walls_orthogonal with the rows u, v
+        orthogonal to x, u and v, from _wall_search with the rows u, v
         on the frame Gram, which is negative definite on their complement
         when plane_shape holds.  The walls are empty exactly when the
         plane's 3-space passes the period-image test.  basis is the
         reduced basis with its Gram (None after a cold call); the next
         plane of a path passes it back as start.  start changes only the
         speed, never the walls."""
-        basis, table = _walls_orthogonal(self.gram_n, (u, v), self.norms, start)
+        basis, table = _wall_search(self.gram_n, (u, v), self.norms, start)
         return _primitive_walls(basis[0], table), basis
 
 

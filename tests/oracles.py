@@ -1,7 +1,7 @@
 """Reference routes that the library no longer runs, kept as test oracles."""
 from fractions import Fraction
 
-from bbf.enumeration import WallReport, _walls_orthogonal
+from bbf.enumeration import WallReport, _wall_search
 from bbf.exactlinalg import combine_rows, content, gram_restrict, sign_normalize
 
 
@@ -11,7 +11,7 @@ def walls_in_sublattice(gram, basis, norms):
     +- pair, as sign-normalized wall reports sorted by class.  It searches
     the restricted Gram basis . G . basis^T with no rows, so it shares
     only Fincke-Pohst with a penalty-form search."""
-    (u, _), table = _walls_orthogonal(gram_restrict(basis, gram), (), norms)
+    (u, _), table = _wall_search(gram_restrict(basis, gram), (), norms)
     reports = [
         WallReport(wall_class=sign_normalize(combine_rows(combine_rows(x, u), basis)), norm=m)
         for m, hits in table.items()

@@ -11,7 +11,7 @@ from bbf.enumeration import (
     OnWallError,
     WallReport,
     _primitive_walls,
-    _walls_orthogonal,
+    _wall_search,
     chamber_membership,
     enumerate_vectors_of_norm,
     mbm_candidates_in_complement,
@@ -263,9 +263,26 @@ class TestWallsOrthogonal:
             expect = complement_route(lat, h, [-2, -4])
             # the kernel takes integer rows; the public callers clear them
             row = [clear_denominators(h)]
-            basis, table = _walls_orthogonal(lat.gram, row, [-2, -4])
+            basis, table = _wall_search(lat.gram, row, [-2, -4])
             assert _primitive_walls(basis[0], table) == expect
-            start, table = _walls_orthogonal(lat.gram, row, [-2, -4], start)
+            start, table = _wall_search(lat.gram, row, [-2, -4], start)
+            assert _primitive_walls(start[0], table) == expect
+            hits += bool(expect)
+        assert hits
+
+    @pytest.mark.parametrize("name", sorted(HYPERBOLIC))
+    def test_ray_cold_and_warm(self, name):
+        # a warm start from another ray's answer maps the ray into its
+        # coordinates and finds the walls of the cold search
+        lat = BBFLattice(HYPERBOLIC[name])
+        rng = random.Random(name)
+        start, hits = None, 0
+        for trial in range(8):
+            ray = clear_denominators(random_positive(lat, rng, rational=False))
+            bound = 4 * lat.q(ray)
+            basis, table = _wall_search(lat.gram, (), [-2, -4], ray=ray, bound=bound)
+            expect = _primitive_walls(basis[0], table)
+            start, table = _wall_search(lat.gram, (), [-2, -4], start, ray=ray, bound=bound)
             assert _primitive_walls(start[0], table) == expect
             hits += bool(expect)
         assert hits
@@ -283,7 +300,7 @@ class TestWallsOrthogonal:
         for trial in range(8):
             h = random_positive(lat, rng, rational=False)
             del calls[:]
-            basis, table = _walls_orthogonal(lat.gram, [clear_denominators(h)], [-2, -4])
+            basis, table = _wall_search(lat.gram, [clear_denominators(h)], [-2, -4])
             assert _primitive_walls(basis[0], table) == complement_route(lat, h, [-2, -4])
             doubled += len(calls) > 1
         assert doubled
@@ -304,7 +321,7 @@ class TestWallsOrthogonal:
         lll = enumeration.lll_gram
         monkeypatch.setattr(enumeration, "lll_gram", lambda q: calls.append(1) or lll(q))
         with pytest.raises(SignatureError):
-            _walls_orthogonal(gram, rows, [-2])
+            _wall_search(gram, rows, [-2])
         assert len(calls) == 1
 
     def test_missed_complement_raises_past_the_cap(self, monkeypatch):
@@ -321,7 +338,7 @@ class TestWallsOrthogonal:
         monkeypatch.setattr(enumeration, "_PENALTY_BITS", 1)
         lat = BBFLattice(HYPERBOLIC["U+<-2>"])
         with pytest.raises(InvariantViolation):
-            _walls_orthogonal(lat.gram, [(1, 1, 0)], [-2])
+            _wall_search(lat.gram, [(1, 1, 0)], [-2])
         # cap 1 + 2^2 * 3 * |det G| 2 * det M 2 = 49: N^2 = 4, 16, 256
         assert len(calls) == 3
 
@@ -428,6 +445,8 @@ class TestSeparatingWalls:
             ((1, 2, 1), (1, 1, 0), "u"),
             ((3, 4, 1), (Fraction(1, 3), Fraction(1, 3), 0), "v"),
             ((Fraction(3, 2), Fraction(3, 2), 0), (3, 4, 1), "u"),
+            ((1, 1, 0), (2, 1, 0), "u"),  # both endpoints on the wall (0,0,1)
+            ((3, 4, 1), (2, 1, 0), "v"),
         ],
     )
     def test_endpoint_walls_are_walls_through(self, lat_hyp, u, v, on):
@@ -456,13 +475,55 @@ class TestSeparatingWalls:
             separating_walls(lat_hyp, (3, 4, 1), (1, 1, 0), [-2])
         assert len(calls) == 2
 
-    def test_non_positive_endpoint(self, lat_hyp):
-        with pytest.raises(InvariantViolation):
-            separating_walls(lat_hyp, (3, 4, 1), (1, -1, 0), [-2])
+    @pytest.mark.parametrize(
+        "u, v, error, message",
+        [
+            ((3, 4, 1), (1, -1, 0), InvariantViolation, "q(v,v) must be positive, got -2"),
+            ((1, -1, 0), (3, 4, 1), InvariantViolation, "q(u,u) must be positive, got -2"),
+            ((0, 0, 0), (3, 4, 1), InvariantViolation, "q(u,u) must be positive, got 0"),
+            (
+                (3, 4, 1), (-3, -4, -1), InvariantViolation,
+                "endpoints lie in opposite positive-cone components (q(u,v) = -22)",
+            ),
+            ((3, 4), (3, 4, 1), DimensionMismatch, "vector length 2 does not match lattice rank 3"),
+            ((3, 4, 1), (3, 4), DimensionMismatch, "vector length 2 does not match lattice rank 3"),
+            ((1, -1, 0), (0, 0, 0), InvariantViolation, "q(u,u) must be positive, got -2"),
+            ((3, 4), (3, 4, 1, 0), DimensionMismatch, "vector length 2 does not match lattice rank 3"),
+        ],
+        ids=[
+            "v_not_positive", "u_not_positive", "u_zero", "opposite_components",
+            "u_wrong_length", "v_wrong_length", "u_checked_first", "u_length_checked_first",
+        ],
+    )
+    def test_input_errors(self, lat_hyp, u, v, error, message):
+        with pytest.raises(error) as err:
+            separating_walls(lat_hyp, u, v, [-2])
+        assert type(err.value) is error
+        assert str(err.value) == message
 
-    def test_opposite_cone_components(self, lat_hyp):
-        with pytest.raises(InvariantViolation):
-            separating_walls(lat_hyp, (3, 4, 1), (-3, -4, -1), [-2])
+    @pytest.mark.parametrize("name", sorted(HYPERBOLIC))
+    def test_reduces_the_segment_majorant(self, monkeypatch, name):
+        # no rows and the ray u': the one reduction is of the majorant
+        # 2 (G u')(G u')^T - q(u',u') G, whatever the endpoints; the
+        # enumeration after it is skipped, as only the reduction is checked
+        lat = BBFLattice(HYPERBOLIC[name])
+        grams = []
+        lll = enumeration.lll_gram
+        monkeypatch.setattr(enumeration, "lll_gram", lambda q: grams.append(q) or lll(q))
+        monkeypatch.setattr(enumeration, "short_vectors", lambda *args: [])
+        rng = random.Random(name)
+        for trial in range(12):
+            u = random_positive(lat, rng, rational=trial % 2 == 1)
+            v = random_positive(lat, rng, rational=trial % 3 == 1)
+            if lat.inner(u, v) < 0:
+                v = tuple(-x for x in v)
+            del grams[:]
+            assert separating_walls(lat, u, v, [-2]) == []
+            ray = clear_denominators(u)
+            gu = [sum(g * x for g, x in zip(row, ray)) for row in lat.gram]
+            a = sum(x * y for x, y in zip(ray, gu))
+            expect = [[2 * gi * gj - a * g for gj, g in zip(gu, row)] for gi, row in zip(gu, lat.gram)]
+            assert grams == [expect]
 
     def _interior(self, lat, rng, norms):
         while True:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbf.enumeration import NormTargetSet, _primitive_walls, _walls_orthogonal, mbm_candidates_in_complement
+from bbf.enumeration import NormTargetSet, _primitive_walls, _wall_search, mbm_candidates_in_complement
 from bbf.exactlinalg import clear_denominators, gram_restrict, kernel_int, mat_vec, primitive_part, rank
 from bbf.lattice import (
     InvariantViolation,
@@ -294,9 +294,9 @@ class TestWallsOrthogonal:
         start, outcomes = None, set()
         for rows in positive_3spaces(lat, seed, count, norms):
             expect = complement_route(lat.gram, rows, norms)
-            cold, table = _walls_orthogonal(lat.gram, rows, norms)
+            cold, table = _wall_search(lat.gram, rows, norms)
             assert _primitive_walls(cold[0], table) == expect
-            start, table = _walls_orthogonal(lat.gram, rows, norms, start)
+            start, table = _wall_search(lat.gram, rows, norms, start)
             assert _primitive_walls(start[0], table) == expect
             outcomes.add(bool(expect))
         assert outcomes == {True, False}

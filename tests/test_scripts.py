@@ -24,8 +24,15 @@ ROOT = Path(__file__).resolve().parents[1]
             ["scripts/wall_census.py", "--samples", "2", "--pairs", "1", "--seed", "12"],
             ["positive classes drawn   2", "interior pairs tested    1"],
         ),
+        (
+            # its 14 interior draws are the two classes (3,3,+-1), repeated;
+            # pairs are drawn from the distinct classes only
+            ["scripts/wall_census.py", "--k", "2", "--coord-bound", "3", "--samples", "200",
+             "--pairs", "20"],
+            ["interior pairs tested    20", "    5 separating walls: 20 pairs"],
+        ),
     ],
-    ids=["wall_census", "wall_census_opposite_components"],
+    ids=["wall_census", "wall_census_opposite_components", "wall_census_distinct_pairs"],
 )
 def test_script_runs(argv, lines):
     # the timeout turns a search that never ends into a failure
