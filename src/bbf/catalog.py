@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .enumeration import NormTargetSet
-from .exactlinalg import Rational, det_bareiss, inertia, is_symmetric
-from .lattice import BBFLattice, LatticeError, fujiki_product
+from .exactlinalg import Rational, is_symmetric
+from .lattice import BBFLattice, DegenerateGram, LatticeError, fujiki_product
 
 
 class CatalogError(LatticeError):
@@ -105,9 +105,13 @@ def validate_entry(data: dict[str, Any] | DeformationTypeSpec) -> list[CheckResu
 
     rows = [list(map(int, r)) for r in gram]
     if check("symmetric", is_symmetric(rows), "gram[i][j] == gram[j][i]"):
-        det = det_bareiss(rows)
+        try:
+            lat = BBFLattice(rows)
+        except DegenerateGram:
+            lat = None
+        det = 0 if lat is None else lat.det
         if check("nondegenerate", det != 0, "det = %d" % det):
-            p, nn, _ = inertia(rows)
+            p, nn = lat.signature()
             check(
                 "signature",
                 (p, nn) == (3, b2 - 3),

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -27,7 +27,7 @@ from .enumeration import (
     separating_walls,
     wall_classes_through,
 )
-from .exactlinalg import Rational, det_bareiss
+from .exactlinalg import Rational
 from .lattice import BBFLattice, LatticeError
 from .periods import (
     HKTripleClasses,
@@ -176,7 +176,7 @@ def cmd_lattice_info(args, lat, norms) -> dict[str, Any]:
         "name": entry.name,
         "rank": lat.rank,
         "signature": [p, n],
-        "det": rat_str(det_bareiss(lat.gram)),
+        "det": rat_str(lat.det),
         "even": entry.even,
         "fujiki_c": entry.fujiki_c,
         "half_dim_n": entry.half_dim_n,
@@ -305,14 +305,7 @@ def cmd_fiber_connectivity(args, lat, norms) -> dict[str, Any]:
     rep = fiber_connectivity_experiment(
         lat, parse_vector(args.vector), args.pairs, args.steps, norms, args.seed
     )
-    return {
-        "pairs_tested": rep.pairs_tested,
-        "paths_found": rep.paths_found,
-        "wall_hits": rep.wall_hits,
-        "planes_sampled": rep.planes_sampled,
-        "geometric_rejections": rep.geometric_rejections,
-        "path_retries": rep.path_retries,
-    }
+    return asdict(rep)  # the report's field order is the payload's key order
 
 
 def cmd_validate_catalog(args, lat, norms) -> dict[str, Any]:

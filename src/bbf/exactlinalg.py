@@ -261,22 +261,18 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def hnf_with_transform(m: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[IntVec]]:
     """(H, U) with U unimodular, U . m == H (H in row HNF, zero rows last,
-    then dropped from H but kept in U)."""
-    rows = [list(map(int, row)) for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    then dropped from H but kept in U).  Each row of m carries its row of
+    the identity through the elimination on m's columns, so the tail of
+    every row is its row of U."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rows = [[int(x) for x in row] + [int(i == j) for j in range(nrows)] for i, row in enumerate(m)]
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        u[r], u[pivot] = u[pivot], u[r]
         for i in range(r + 1, nrows):
             if rows[i][c] == 0:
                 continue
@@ -285,25 +281,19 @@ def hnf_with_transform(m: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[I
             aa, bb = a // g, b // g
             # unimodular 2x2: [[s, t], [-bb, aa]] has determinant 1
             new_r = [s * x + t * y for x, y in zip(rows[r], rows[i])]
-            new_i = [-bb * x + aa * y for x, y in zip(rows[r], rows[i])]
-            rows[r], rows[i] = new_r, new_i
-            new_ur = [s * x + t * y for x, y in zip(u[r], u[i])]
-            new_ui = [-bb * x + aa * y for x, y in zip(u[r], u[i])]
-            u[r], u[i] = new_ur, new_ui
+            rows[i] = [-bb * x + aa * y for x, y in zip(rows[r], rows[i])]
+            rows[r] = new_r
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
-            u[r] = [-x for x in u[r]]
         p = rows[r][c]
         for i in range(r):
             q = rows[i][c] // p
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == nrows:
             break
-    h = [vec_int(row) for row in rows[:r]]
-    return h, [vec_int(row) for row in u]
+    return [tuple(row[:ncols]) for row in rows[:r]], [tuple(row[ncols:]) for row in rows]
 
 
 def kernel_int(m: Sequence[Sequence[int]], ncols: int | None = None) -> list[IntVec]:

@@ -19,8 +19,8 @@ from .exactlinalg import (
     Rational,
     _integral_multiple,
     clear_denominators,
-    det_bareiss,
     det_rational,
+    diagonalize_symmetric,
     dot,
     gram_restrict,
     hnf,
@@ -100,9 +100,11 @@ class BBFLattice:
 
     The constructor enforces integral entries (an entry that is not an
     integer raises InvariantViolation, never truncates), symmetry and
-    nondegeneracy.  Signature is not constrained here: each operation
-    states its own requirement, and the full (3, rank-3) convention is
-    validated at the catalog level.
+    nondegeneracy.  It diagonalizes the Gram once (diagonalize_symmetric),
+    and nondegeneracy, signature and det all read that one result.
+    Signature is not constrained here: each operation states its own
+    requirement, and the full (3, rank-3) convention is validated at the
+    catalog level.
     """
 
     gram: tuple[tuple[int, ...], ...]
@@ -113,12 +115,15 @@ class BBFLattice:
             raise DimensionMismatch("gram matrix must be square")
         if not is_symmetric(rows):
             raise InvariantViolation("gram matrix must be symmetric")
-        if rows and det_bareiss(rows) == 0:
+        t, diag = diagonalize_symmetric(rows)
+        if 0 in diag:
             radical = hnf(kernel_int(rows))
             raise DegenerateGram(
                 "gram matrix is degenerate; radical basis: %s" % (radical,), radical
             )
         object.__setattr__(self, "gram", rows)
+        object.__setattr__(self, "_diagonal", (t, diag))
+        object.__setattr__(self, "_signature", (sum(d > 0 for d in diag), sum(d < 0 for d in diag)))
 
     @property
     def rank(self) -> int:
@@ -149,14 +154,20 @@ class BBFLattice:
         return self.inner(v, v)
 
     def signature(self) -> tuple[int, int]:
-        """(positive, negative) inertia counts, computed exactly once per
-        lattice (the Gram is immutable, and nondegenerate by construction,
-        so there is no zero count)."""
-        sig = self.__dict__.get("_signature")
-        if sig is None:
-            sig = inertia(self.gram)[:2]
-            object.__setattr__(self, "_signature", sig)
-        return sig
+        """(positive, negative) inertia counts: the signs of the diagonal
+        the constructor found (nondegenerate, so there is no zero count)."""
+        return self._signature
+
+    @property
+    def det(self) -> int:
+        """The determinant, the last fraction-free pivot of the constructor's
+        diagonalization D: entry k of D is pivot k times pivot k + 1 (pivot
+        0 = 1), and its congruences, permutations and e_p -> e_p + e_j, keep
+        the determinant."""
+        d = 1
+        for x in self._diagonal[1]:
+            d = x // d
+        return d
 
     def _exact_rows(self, basis: Sequence[Sequence[Rational]]) -> list[RatVec]:
         """The rows of basis with every entry exact, a float as the rational

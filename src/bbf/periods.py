@@ -294,7 +294,7 @@ class _FiberFrame:
 
     def _seed_pair(self) -> tuple[list[int], list[int]]:
         """Two orthogonal positive integer vectors in the complement of x,
-        found by integer elimination: take the positive rows of the ambient
+        found by integer elimination: take the positive rows of the lattice's
         diagonalization, cut their span with x by the hyperplane orthogonal
         to x, and diagonalize the restriction.  At least two positive
         directions always survive in signature (3, k).  The echelon rows
@@ -307,9 +307,9 @@ class _FiberFrame:
         [gram_n | r1 r2], and are integral because the frame is saturated
         (InvariantViolation otherwise)."""
         gram = self.lattice.gram
-        # three positive rows: inertia, which the constructor checked, is
-        # the sign count of this same diagonalization
-        t, diag = diagonalize_symmetric(gram)
+        # three positive rows: the signature, which the constructor checked,
+        # is the sign count of this same diagonalization
+        t, diag = self.lattice._diagonal
         x = clear_denominators(self.x)
         span = gauss_jordan([x] + [row for row, dv in zip(t, diag) if dv > 0])[0]
         # c_j = q(s_j, x); x is in the span, so some c_j is nonzero

@@ -40,6 +40,13 @@ class TestBuiltinCatalog:
         unimod = next(c for c in validate_entry(k3) if c.name == "unimodular")
         assert unimod.informational and unimod.passed
 
+    def test_validation_diagonalizes_once(self, catalog, kernel_calls):
+        # nondegeneracy, signature and the determinant all come from the
+        # lattice's one diagonalization
+        calls = kernel_calls("diagonalize_symmetric", "det_bareiss", "inertia")
+        assert all(c.passed for c in validate_entry(catalog["K3"]))
+        assert calls == {"diagonalize_symmetric": 1, "det_bareiss": 0, "inertia": 0}
+
     def test_toy_u3(self, catalog):
         toy = catalog["toy-U3"]
         assert toy.b2 == 6

@@ -23,6 +23,7 @@ from bbf.exactlinalg import (  # noqa: E402
     primitive_part,
     rank,
 )
+from bbf.lattice import BBFLattice, DegenerateGram  # noqa: E402
 from oracles import diagonalize_rational  # noqa: E402
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True)
@@ -74,6 +75,17 @@ def sign_changes(coeffs):
     lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_bareiss_matches_sympy(m):
     assert det_bareiss(m) == (sympy.Matrix(m).det() if m else 1)
+
+
+@SMALL
+@given(symmetric_matrices())
+def test_lattice_det_matches_sympy(m):
+    det = sympy.Matrix(m).det()
+    if det == 0:
+        with pytest.raises(DegenerateGram):
+            BBFLattice(m)
+    else:
+        assert BBFLattice(m).det == det
 
 
 @SMALL

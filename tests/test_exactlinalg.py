@@ -20,10 +20,12 @@ from bbf.exactlinalg import (
     dot,
     gram_restrict,
     hnf,
+    hnf_with_transform,
     inertia,
     integral_gso,
     kernel_int,
     lll_gram,
+    mat_mul,
     mat_vec,
     primitive_part,
     rank,
@@ -124,6 +126,24 @@ def test_hnf_canonical_and_row_space():
         assert pivots == sorted(pivots)
         # idempotent
         assert hnf(list(h)) == h
+
+
+def test_hnf_with_transform_edge_cases():
+    assert hnf_with_transform([]) == ([], [])
+    assert kernel_int([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # an all-zero matrix is its own Hermite form: no rows, and U = I
+    assert hnf_with_transform([[0, 0, 0], [0, 0, 0]]) == ([], [(1, 0), (0, 1)])
+    # a negative first pivot is negated in H and in U alike
+    assert hnf_with_transform([[-2]]) == ([(2,)], [(-1,)])
+    assert hnf_with_transform([[-3, 1], [2, 5]]) == ([(1, 11), (0, 17)], [(1, 2), (2, 3)])
+    rng = random.Random(11)
+    for _ in range(60):
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(rng.randint(1, 5))]]
+        m += [[rng.choice((0, rng.randint(-9, 9))) for _ in m[0]] for _ in range(rng.randint(0, 4))]
+        h, u = hnf_with_transform(m)
+        assert h == hnf(m)
+        assert abs(det_bareiss(u)) == 1
+        assert [tuple(row) for row in mat_mul(u, m)] == h + [(0,) * len(m[0])] * (len(m) - len(h))
 
 
 @settings(max_examples=50, deadline=None)
@@ -453,6 +473,26 @@ def test_no_assert_in_package():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependency outside the standard library
+    package = Path(__file__).resolve().parents[1] / "src" / "bbf"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                "%s:%d %s" % (path.name, node.lineno, name)
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []
 
 

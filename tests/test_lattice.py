@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bbf.exactlinalg import combine_rows, det_bareiss, det_rational, gram_restrict, hnf, vec_rat
+from bbf.exactlinalg import (
+    combine_rows,
+    det_bareiss,
+    det_rational,
+    gram_restrict,
+    hnf,
+    inertia,
+    kernel_int,
+    vec_rat,
+)
 from bbf.lattice import (
     BBFLattice,
     DegenerateGram,
@@ -63,8 +72,59 @@ class TestConstruction:
     def test_k3_lattice(self, lat_k3):
         assert lat_k3.rank == 22
         assert lat_k3.signature() == (3, 19)
-        assert det_bareiss(lat_k3.gram) == -1
+        assert lat_k3.det == det_bareiss(lat_k3.gram) == -1
         assert all(lat_k3.gram[i][i] % 2 == 0 for i in range(22))
+
+
+def random_gram(rng, n):
+    """A symmetric integer matrix; often with an all-zero diagonal, where the
+    diagonalization must take its hyperbolic-pair step, and often with its
+    last row and column a combination of others, which makes it degenerate."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-3, 3)
+    if rng.random() < 0.3:
+        for i in range(n):
+            m[i][i] = 0
+    if n > 1 and rng.random() < 0.2:
+        a, b = rng.randint(-1, 1), rng.randint(-1, 1)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[n // 2])]
+        for i in range(n):
+            m[i][-1] = m[-1][i]
+        m[-1][-1] = a * m[0][-1] + b * m[n // 2][-1]
+    return m
+
+
+class TestDiagonalInvariants:
+    # det, signature and nondegeneracy are read off the one diagonalization
+    # of the constructor; the separate eliminations are the oracles
+    def test_against_determinant_and_inertia(self):
+        rng = random.Random(23)
+        kinds = set()
+        for _ in range(1500):
+            m = random_gram(rng, rng.randint(1, 7))
+            det = det_bareiss(m)
+            if det == 0:
+                with pytest.raises(DegenerateGram) as err:
+                    BBFLattice(m)
+                assert err.value.kernel == hnf(kernel_int(m))
+            else:
+                lat = BBFLattice(m)
+                assert lat.det == det
+                assert lat.signature() == inertia(m)[:2]
+            kinds.add((det == 0, all(m[i][i] == 0 for i in range(len(m)))))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_reads_need_no_elimination(self, kernel_calls):
+        lat = BBFLattice(k3_matrix())
+        calls = kernel_calls("diagonalize_symmetric", "det_bareiss", "inertia", "gauss_jordan")
+        assert (lat.signature(), lat.det) == ((3, 19), -1)
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_rank_zero(self):
+        lat = BBFLattice([])
+        assert (lat.rank, lat.signature(), lat.det) == (0, (0, 0), 1)
 
 
 class TestInner:

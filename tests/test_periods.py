@@ -215,26 +215,11 @@ class TestComplementOracle:
                 outcomes.add(not oracle)
         assert outcomes == {True, False}
 
-    def test_one_elimination_per_call(self, lat_k3, monkeypatch):
+    def test_one_elimination_per_call(self, lat_k3, kernel_calls):
         # one penalty-form reduction, and no saturated kernel, Gauss-Jordan
         # elimination (rank or determinant) or canonical Hermite form
-        import sys
-
-        from bbf import exactlinalg
-
-        calls = {"hnf_with_transform": 0, "hnf": 0, "gauss_jordan": 0, "lll_gram": 0}
         rows = positive_3spaces(lat_k3, 5, 1, [-2])[0]
-        modules = [m for n, m in sys.modules.items() if n == "bbf" or n.startswith("bbf.")]
-        for name in calls:
-            original = getattr(exactlinalg, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module in modules:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        calls = kernel_calls("hnf_with_transform", "hnf", "gauss_jordan", "lll_gram")
         in_hk_period_image(lat_k3, rows, [-2])
         assert calls == {"hnf_with_transform": 0, "hnf": 0, "gauss_jordan": 0, "lll_gram": 1}
 
@@ -585,3 +570,11 @@ def test_seed_pair(lat_u3, lat_k3, name, x, seed1, seed2):
     assert lat.inner(x, a1) == lat.inner(x, a2) == 0
     assert lat.q(a1) > 0 and lat.q(a2) > 0
     assert lat.inner(a1, a2) == 0
+
+
+def test_frame_reads_the_lattice_diagonalization(lat_k3, kernel_calls):
+    # the seeds start from the positive rows the lattice's constructor
+    # found: the one diagonalization left is the cut orthogonal to x
+    calls = kernel_calls("diagonalize_symmetric", "det_bareiss", "inertia")
+    _FiberFrame(lat_k3, SEED_PAIRS[1][1], NormTargetSet([-2]))
+    assert calls == {"diagonalize_symmetric": 1, "det_bareiss": 0, "inertia": 0}
